@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import re
 import sys
 from fractions import Fraction
@@ -22,7 +21,6 @@ from .corpus import (
     ALCOVE_WEIGHTS,
     BadParams,
     CORPUS_NAMES,
-    CorpusEntry,
     UnknownName,
     build,
     counterexample_alpha,
@@ -41,7 +39,7 @@ from .counting import (
     translated_enumerator,
     weighted_simplex_quasi,
 )
-from .geometry import AlmostIntegralPolytope, Face, LatticePolytope
+from .geometry import AlmostIntegralPolytope, LatticePolytope
 from .linalg import DimensionMismatch, is_integer_vector
 from .qpoly import (
     Polynomial,
@@ -54,7 +52,7 @@ from .qpoly import (
 )
 from .zonotopes import TooManyGenerators, ZonotopeSpec, abm_quasi
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d*[1-9]\d*)?$")
 
 
 class ParseError(ValueError):
@@ -95,18 +93,22 @@ def load_document(args) -> dict:
     return doc
 
 
+def _build_corpus(name, params):
+    """The corpus entry ``name``; bad names and parameters are parse errors."""
+    if not isinstance(params, dict):
+        raise ParseError("params must be an object")
+    try:
+        return build(name, **params)
+    except UnknownName as exc:
+        raise ParseError(f"unknown corpus name: {exc}") from exc
+    except BadParams as exc:
+        raise ParseError(str(exc)) from exc
+
+
 def interpret(doc: dict):
     """(kind, payload) with kind in vertices | zonotope | corpus."""
     if "corpus" in doc:
-        params = doc.get("params", {})
-        if not isinstance(params, dict):
-            raise ParseError("params must be an object")
-        try:
-            return "corpus", build(doc["corpus"], **params)
-        except UnknownName as exc:
-            raise ParseError(f"unknown corpus name: {exc}") from exc
-        except BadParams as exc:
-            raise ParseError(str(exc)) from exc
+        return "corpus", _build_corpus(doc["corpus"], doc.get("params", {}))
     if "generators" in doc:
         gens = doc["generators"]
         if not isinstance(gens, list):
@@ -300,13 +302,11 @@ def cmd_corpus(args) -> int:
     if args.action == "list":
         emit(args, {"names": list(CORPUS_NAMES), "alcoves": sorted(ALCOVE_WEIGHTS)})
         return 0
-    params = json.loads(args.params) if args.params else {}
     try:
-        entry = build(args.name, **params)
-    except UnknownName as exc:
-        raise ParseError(f"unknown corpus name: {exc}") from exc
-    except BadParams as exc:
-        raise ParseError(str(exc)) from exc
+        params = json.loads(args.params) if args.params else {}
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"--params: {exc}") from exc
+    entry = _build_corpus(args.name, params)
     out = {"name": entry.name, "kind": entry.kind, "parameters": entry.parameters}
     if entry.polytope is not None:
         out["vertices"] = [[str(x) for x in v] for v in entry.polytope.base.vertices]
@@ -321,10 +321,6 @@ def cmd_corpus(args) -> int:
 
 # ---------------------------------------------------------------------------
 # reproduce suite
-
-
-def _poly_from_strings(items):
-    return Polynomial(Fraction(s) for s in items)
 
 
 def _check(results, name, expected, computed, disputed=False):
@@ -524,13 +520,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ehrkit",
         description="Exact Ehrhart quasi-polynomials of translated lattice polytopes",
     )
-    default_jobs = int(os.environ.get("EHRKIT_JOBS", "1"))
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
         p.add_argument("--input", help="JSON input file (default: stdin)")
         p.add_argument("--output", help="write JSON here instead of stdout")
-        p.add_argument("--jobs", type=int, default=default_jobs, help="worker count (results are identical for any value)")
 
     p = sub.add_parser("count", help="lattice points of c + tP")
     common(p)
@@ -553,7 +547,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--witness", action="store_true", help="also search for violating translates")
     p.add_argument("--require-witness", action="store_true", help="exit 5 if a search exhausts its budget")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.add_argument("--seed", type=int, default=0, help="accepted for reproducibility; the search is deterministic")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("scan", help="counts of x*c + P over rational samples x")

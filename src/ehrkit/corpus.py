@@ -114,9 +114,19 @@ def counterexample_alpha_closed_form(n: int, k: int) -> int:
     return k * (n + 1) - k * k - 2 * n - 1
 
 
-def build(name: str, **params) -> CorpusEntry:
+def _int_param(params: dict, key: str, default=None) -> int:
+    """The parameter ``key``, which must be a positive integer."""
+    value = params.get(key, default)
+    if value is None:
+        raise BadParams(f"needs parameter {key}")
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise BadParams(f"parameter {key} must be a positive integer, got {value!r}")
+    return value
+
+
+def build(name: str, /, **params) -> CorpusEntry:
     if name == "cube":
-        d = int(params.get("dim", 3))
+        d = _int_param(params, "dim", 3)
         return CorpusEntry(
             name,
             "almost_integral",
@@ -125,7 +135,7 @@ def build(name: str, **params) -> CorpusEntry:
             expected={"zonotope": True, "centrally_symmetric": True},
         )
     if name == "cross_polytope":
-        d = int(params.get("dim", 3))
+        d = _int_param(params, "dim", 3)
         return CorpusEntry(
             name,
             "almost_integral",
@@ -187,9 +197,7 @@ def build(name: str, **params) -> CorpusEntry:
             },
         )
     if name == "counterexample_pn":
-        if "n" not in params:
-            raise BadParams("counterexample_pn needs parameter n")
-        n = int(params["n"])
+        n = _int_param(params, "n")
         return CorpusEntry(
             name,
             "almost_integral",
@@ -199,7 +207,7 @@ def build(name: str, **params) -> CorpusEntry:
         )
     if name == "alcove":
         which = params.get("type") or params.get("name")
-        if which not in ALCOVE_WEIGHTS:
+        if not isinstance(which, str) or which not in ALCOVE_WEIGHTS:
             raise BadParams(f"unknown alcove {which!r}; choose from {sorted(ALCOVE_WEIGHTS)}")
         return CorpusEntry(
             name,

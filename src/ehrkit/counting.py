@@ -89,8 +89,8 @@ def _count_fulldim(P: LatticePolytope, c, t) -> int:
     return total
 
 
-def count_points(P: LatticePolytope, c: Sequence, t: int) -> int:
-    """Exact #((c + tP) ∩ Z^d).
+def count_points(P: LatticePolytope, c: Sequence, t) -> int:
+    """Exact #((c + tP) ∩ Z^d) for a non-negative rational dilation t.
 
     Full-dimensional polytopes go through slab enumeration.  Lower
     dimensional ones are reduced: if the translated affine hull misses
@@ -123,19 +123,21 @@ def count_points(P: LatticePolytope, c: Sequence, t: int) -> int:
     return count_points(P.coord_polytope, ctilde, t)
 
 
+def _interpolate_guarded(count, ts) -> Polynomial:
+    """The polynomial through (t, count(t)) for every t in ``ts`` but the
+    last, checked against count at the last."""
+    *fit, guard = ts
+    poly = Polynomial.interpolate([(t, count(t)) for t in fit])
+    if poly(guard) != count(guard):
+        raise InterpolationGuardFailed(f"guard sample at t={guard} disagrees with the interpolant")
+    return poly
+
+
 def translated_enumerator(P: LatticePolytope, c: Sequence) -> Polynomial:
     """The polynomial t -> #((c + tP) ∩ Z^d), of degree at most dim P.
 
     Interpolated from t = 1..dim+1 and verified on one extra sample."""
-    deg = P.dim
-    samples = [(t, count_points(P, c, t)) for t in range(1, deg + 2)]
-    poly = Polynomial.interpolate(samples)
-    guard = deg + 2
-    if poly(guard) != count_points(P, c, guard):
-        raise InterpolationGuardFailed(
-            f"guard sample at t={guard} disagrees with interpolant for c={c}"
-        )
-    return poly
+    return _interpolate_guarded(lambda t: count_points(P, c, t), range(1, P.dim + 3))
 
 
 def ehrhart_quasi(A: AlmostIntegralPolytope) -> QuasiPolynomial:
@@ -183,19 +185,9 @@ def weighted_simplex_quasi(weights: Sequence[int]) -> QuasiPolynomial:
     """
     weights = [int(w) for w in weights]
     rho = math.lcm(*weights)
-    deg = len(weights)
-    T = rho + (deg + 1) * rho
-    counts = weighted_simplex_counts_upto(weights, T)
-    cons = []
-    for k in range(1, rho + 1):
-        samples = [(k + j * rho, counts[k + j * rho]) for j in range(deg + 1)]
-        poly = Polynomial.interpolate(samples)
-        guard = k + (deg + 1) * rho
-        if poly(guard) != counts[guard]:
-            raise InterpolationGuardFailed(
-                f"guard sample at t={guard} disagrees for weights {weights}"
-            )
-        cons.append(poly)
+    stop = (len(weights) + 2) * rho
+    counts = weighted_simplex_counts_upto(weights, stop)
+    cons = [_interpolate_guarded(counts.__getitem__, range(k, k + stop, rho)) for k in range(1, rho + 1)]
     return QuasiPolynomial(rho, cons)
 
 
@@ -203,21 +195,22 @@ def weighted_simplex_quasi(weights: Sequence[int]) -> QuasiPolynomial:
 # rational dilation (fractional-vertex polytopes such as (1/9)[0,1]^3)
 
 
-def count_rational_dilate(vertices: Sequence, t: int) -> int:
-    """#(tQ ∩ Z^d) for a full-dimensional polytope Q with rational vertices.
-
-    Clears denominators to a lattice polytope P = D Q and counts the
-    fractional dilate (t/D) P through the slab enumerator."""
+def _cleared(vertices: Sequence) -> tuple:
+    """(P, D) with D the lcm of the vertex-coordinate denominators of Q and
+    P = D Q, a full-dimensional lattice polytope."""
     verts = [tuple(Fraction(x) for x in v) for v in vertices]
     D = math.lcm(*(lcm_denominators(v) for v in verts))
     P = LatticePolytope([vec_scale(D, v) for v in verts])
     if P.dim != P.ambient_dim:
         raise ValueError("rational dilation counting needs a full-dimensional polytope")
-    if t < 0:
-        raise ValueError("dilation must be non-negative")
-    if t == 0:
-        return 1
-    return _count_fulldim(P, (Fraction(0),) * P.ambient_dim, Fraction(t, D))
+    return P, D
+
+
+def count_rational_dilate(vertices: Sequence, t: int) -> int:
+    """#(tQ ∩ Z^d) for a full-dimensional polytope Q with rational vertices,
+    counted as the fractional dilate (t/D) P of P = D Q."""
+    P, D = _cleared(vertices)
+    return count_points(P, (0,) * P.ambient_dim, Fraction(t, D))
 
 
 def rational_dilation_quasi(vertices: Sequence) -> QuasiPolynomial:
@@ -226,104 +219,38 @@ def rational_dilation_quasi(vertices: Sequence) -> QuasiPolynomial:
     The lcm D of vertex-coordinate denominators is a period; constituents
     are interpolated per residue class mod D with a guard sample.
     """
-    verts = [tuple(Fraction(x) for x in v) for v in vertices]
-    rho = math.lcm(*(lcm_denominators(v) for v in verts))
-    deg = len(verts[0])
-    cons = []
-    for k in range(1, rho + 1):
-        samples = [(k + j * rho, count_rational_dilate(verts, k + j * rho)) for j in range(deg + 1)]
-        poly = Polynomial.interpolate(samples)
-        guard = k + (deg + 1) * rho
-        if poly(guard) != count_rational_dilate(verts, guard):
-            raise InterpolationGuardFailed(f"guard sample at t={guard} disagrees")
-        cons.append(poly)
-    return QuasiPolynomial(rho, cons)
+    P, D = _cleared(vertices)
+    origin = (0,) * P.ambient_dim
+    stop = (P.ambient_dim + 2) * D
+    cons = [
+        _interpolate_guarded(lambda t: count_points(P, origin, Fraction(t, D)), range(k, k + stop, D))
+        for k in range(1, D + 1)
+    ]
+    return QuasiPolynomial(D, cons)
 
 
 # ---------------------------------------------------------------------------
 # lost and new points under translation
 
 
-def _segment_lattice_count(c) -> int:
-    """#{s ∈ [0,1] : s c ∈ Z^d}, the lattice points on the segment [0, c]."""
-    nz = [Fraction(x) for x in c if x != 0]
-    if not nz:
-        return 1
-    step = Fraction(
-        math.lcm(*(f.denominator for f in nz)),
-        math.gcd(*(abs(f.numerator) for f in nz)),
-    )
-    return int(Fraction(1) / step) + 1
-
-
 def lost_new_counts(P: LatticePolytope, c: Sequence, t: int):
     """(lost, new) point counts for the translation c at dilation t.
 
     lost = #(((tP + [0,c]) \\ (c + tP)) ∩ Z^d), the points swept over but
-    absent from the translate; new = #(((tP + [0,c]) \\ tP) ∩ Z^d).
-    Membership in tP + [0,c] is a one-parameter feasibility test: some
-    s ∈ [0,1] with x - s c ∈ tP, an exact rational interval intersection
-    against the facet description.
+    absent from the translate; new = #(((tP + [0,c]) \\ tP) ∩ Z^d).  Both
+    translates lie in the swept set tP + [0,c] = conv(tV ∪ (tV + c)), so
+    each is a difference of counts; with D = den(c) the swept set is the
+    1/D dilate of a lattice polytope.
     """
     d = P.ambient_dim
     if len(c) != d:
         raise DimensionMismatch("translate length does not match ambient dimension")
     c = tuple(Fraction(x) for x in c)
-    if all(x == 0 for x in c):
-        return 0, 0
-    if t == 0:
-        # tP = {0}, tP + [0,c] = the segment [0, c]
-        seg = _segment_lattice_count(c)
-        lost = seg - (1 if is_integer_vector(c) else 0)
-        return lost, seg - 1
-    H = _hrep(P)
-    constraints = [(a, b, dot(a, c), False) for a, b in H.inequalities]
-    constraints += [(a, b, dot(a, c), True) for a, b in H.equalities]
-    base_pts = [vec_scale(t, v) for v in P.vertices]
-    all_pts = base_pts + [vec_add(c, p) for p in base_pts]
-    lo = [math.ceil(min(p[i] for p in all_pts)) for i in range(d)]
-    hi = [math.floor(max(p[i] for p in all_pts)) for i in range(d)]
-    lost = new = 0
-    for x in product(*(range(lo[i], hi[i] + 1) for i in range(d))):
-        s_lo, s_hi = Fraction(0), Fraction(1)
-        in_sum = True
-        for a, b, ac, is_eq in constraints:
-            rhs = dot(a, x) - t * b  # need s * ac >= rhs (== for equalities)
-            if is_eq:
-                if ac == 0:
-                    if rhs != 0:
-                        in_sum = False
-                        break
-                else:
-                    s = rhs / ac
-                    s_lo = max(s_lo, s)
-                    s_hi = min(s_hi, s)
-            elif ac > 0:
-                s_lo = max(s_lo, rhs / ac)
-            elif ac < 0:
-                s_hi = min(s_hi, rhs / ac)
-            elif rhs > 0:
-                in_sum = False
-                break
-            if s_lo > s_hi:
-                in_sum = False
-                break
-        if not in_sum:
-            continue
-        in_base = all(
-            (dot(a, x) == t * b) if is_eq else (dot(a, x) <= t * b)
-            for a, b, _, is_eq in constraints
-        )
-        xc = vec_sub(x, c)
-        in_translate = all(
-            (dot(a, xc) == t * b) if is_eq else (dot(a, xc) <= t * b)
-            for a, b, _, is_eq in constraints
-        )
-        if not in_translate:
-            lost += 1
-        if not in_base:
-            new += 1
-    return lost, new
+    D = lcm_denominators(c)
+    base = [vec_scale(D * t, v) for v in P.vertices]
+    shift = vec_scale(D, c)
+    swept = count_points(LatticePolytope(base + [vec_add(v, shift) for v in base]), (0,) * d, Fraction(1, D))
+    return swept - count_points(P, c, t), swept - count_points(P, (0,) * d, t)
 
 
 def scan_scaled_translate(P: LatticePolytope, c: Sequence, xs: Sequence) -> list:

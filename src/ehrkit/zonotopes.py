@@ -15,7 +15,6 @@ from .geometry import AlmostIntegralPolytope, LatticePolytope
 from .linalg import (
     DimensionMismatch,
     IntMatrix,
-    gcd_maximal_minors,
     is_integer_vector,
     lcm_denominators,
     rational_rank,

@@ -133,6 +133,11 @@ class TestScanAndCorpus:
         assert code == 0
         assert "pentagon_s3" in doc["names"]
 
+    def test_environment_does_not_configure_cli(self, capsys, monkeypatch):
+        monkeypatch.setenv("EHRKIT_JOBS", "two")
+        code, _ = run(capsys, ["corpus", "list"])
+        assert code == 0
+
     def test_corpus_build(self, capsys):
         code, doc = run(capsys, ["corpus", "build", "p2_shifted_octahedron"])
         assert code == 0
@@ -163,6 +168,34 @@ class TestExitCodes:
         )
         assert code == 5
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "argv, doc",
+        [
+            (["count", "--dilate", "1"], {"vertices": [[0, 0], [1, 0]], "translate": ["1/0", "0"]}),
+            (["count", "--dilate", "1"], {"vertices": [["0/00", 0], [1, 0]]}),
+            (["corpus", "build", "cube", "--params", "{bad"], None),
+            (["corpus", "build", "cube", "--params", "[1]"], None),
+            (["corpus", "build", "cube", "--params", '{"dim": "x"}'], None),
+            (["corpus", "build", "cube", "--params", '{"dim": 1.5}'], None),
+            (["corpus", "build", "cross_polytope", "--params", '{"dim": 0}'], None),
+            (["corpus", "build", "alcove", "--params", '{"type": ["G2"]}'], None),
+            (["count", "--dilate", "1"], {"corpus": "counterexample_pn", "params": {"n": "abc"}}),
+            (["count", "--dilate", "1"], {"corpus": "cube", "params": {"dim": 0}}),
+            (["count", "--dilate", "1"], {"corpus": "cube", "params": {"dim": -1}}),
+            (["count", "--dilate", "1"], {"corpus": "cube", "params": {"dim": True}}),
+        ],
+    )
+    def test_bad_input_exits_2(self, tmp_path, capsys, argv, doc):
+        if doc is not None:
+            argv = argv + ["--input", write_doc(tmp_path, doc)]
+        assert main(argv) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_alcove_by_name_parameter(self, tmp_path, capsys):
+        f = write_doc(tmp_path, {"corpus": "alcove", "params": {"name": "G2"}})
+        code, doc = run(capsys, ["count", "--input", f, "--dilate", "6"])
+        assert code == 0 and doc == {"count": 7}
 
     def test_fractional_vertices_ok_for_ehrhart(self, tmp_path, capsys):
         f = write_doc(tmp_path, {"vertices": [[0, 0], ["1/2", 0], [0, "1/2"]]})

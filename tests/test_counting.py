@@ -5,6 +5,7 @@ import pytest
 
 from ehrkit.counting import (
     InterpolationGuardFailed,
+    _interpolate_guarded,
     count_points,
     count_rational_dilate,
     count_weighted_simplex,
@@ -17,7 +18,7 @@ from ehrkit.counting import (
     weighted_simplex_quasi,
 )
 from ehrkit.geometry import AlmostIntegralPolytope, LatticePolytope, relative_volume
-from ehrkit.linalg import DimensionMismatch, vec_add, vec_scale
+from ehrkit.linalg import DimensionMismatch, vec_add, vec_scale, vec_sub
 from ehrkit.qpoly import Polynomial, evaluate
 
 PENTAGON = LatticePolytope([(1, 0), (0, 1), (0, 2), (1, 3), (2, 1)])
@@ -50,6 +51,68 @@ def brute_count(P, c, t):
         ):
             total += 1
     return total
+
+
+def brute_lost_new(P, c, t):
+    """Independent oracle for ``lost_new_counts``: every point x of the
+    bounding box of tP ∪ (c + tP) is tested for membership in tP + [0,c]
+    (some s ∈ [0,1] with x - s c ∈ tP, an exact rational interval
+    intersection against the facet description), in tP and in c + tP."""
+    from ehrkit.geometry import hrep
+    from ehrkit.linalg import dot
+    import itertools
+    import math as _m
+
+    d = P.ambient_dim
+    c = tuple(Fraction(x) for x in c)
+    H = hrep(P)
+    constraints = [(a, b, dot(a, c), False) for a, b in H.inequalities]
+    constraints += [(a, b, dot(a, c), True) for a, b in H.equalities]
+    base_pts = [vec_scale(t, v) for v in P.vertices]
+    all_pts = base_pts + [vec_add(c, p) for p in base_pts]
+    lo = [_m.ceil(min(p[i] for p in all_pts)) for i in range(d)]
+    hi = [_m.floor(max(p[i] for p in all_pts)) for i in range(d)]
+    lost = new = 0
+    for x in itertools.product(*(range(lo[i], hi[i] + 1) for i in range(d))):
+        s_lo, s_hi = Fraction(0), Fraction(1)
+        in_sum = True
+        for a, b, ac, is_eq in constraints:
+            rhs = dot(a, x) - t * b  # need s * ac >= rhs (== for equalities)
+            if is_eq:
+                if ac == 0:
+                    if rhs != 0:
+                        in_sum = False
+                        break
+                else:
+                    s = rhs / ac
+                    s_lo = max(s_lo, s)
+                    s_hi = min(s_hi, s)
+            elif ac > 0:
+                s_lo = max(s_lo, rhs / ac)
+            elif ac < 0:
+                s_hi = min(s_hi, rhs / ac)
+            elif rhs > 0:
+                in_sum = False
+                break
+            if s_lo > s_hi:
+                in_sum = False
+                break
+        if not in_sum:
+            continue
+        in_base = all(
+            (dot(a, x) == t * b) if is_eq else (dot(a, x) <= t * b)
+            for a, b, _, is_eq in constraints
+        )
+        xc = vec_sub(x, c)
+        in_translate = all(
+            (dot(a, xc) == t * b) if is_eq else (dot(a, xc) <= t * b)
+            for a, b, _, is_eq in constraints
+        )
+        if not in_translate:
+            lost += 1
+        if not in_base:
+            new += 1
+    return lost, new
 
 
 class TestCountPoints:
@@ -114,6 +177,10 @@ class TestTranslatedEnumerator:
     def test_empty_slice_zero_polynomial(self):
         seg = LatticePolytope([(0, 0), (1, 0)])
         assert translated_enumerator(seg, (0, Fraction(1, 2))) == Polynomial()
+
+    def test_guard_rejects_non_polynomial_count(self):
+        with pytest.raises(InterpolationGuardFailed):
+            _interpolate_guarded(lambda t: 2**t, range(1, 5))
 
     def test_degree_and_leading_coefficient(self):
         rng = random.Random(17)
@@ -230,6 +297,22 @@ class TestLostNew:
                 for t in range(0, 4):
                     lost, new = lost_new_counts(P, c, t)
                     assert count_points(P, c, t) + lost == count_points(P, (0,) * d, t) + new
+
+    def test_matches_membership_oracle(self):
+        rng = random.Random(29)
+        for i in range(40):
+            d = rng.randint(1, 3)
+            if i % 3 == 0:
+                # lower dimensional: lattice points on a line through a lattice point
+                o = [rng.randint(-2, 2) for _ in range(d)]
+                u = [rng.randint(-2, 2) for _ in range(d)]
+                pts = [tuple(o[j] + k * u[j] for j in range(d)) for k in rng.sample(range(-2, 3), 2)]
+            else:
+                pts = [tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(d + 2)]
+            P = LatticePolytope(pts)
+            c = tuple(Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3, 4))) for _ in range(d))
+            for t in range(0, 3):
+                assert lost_new_counts(P, c, t) == brute_lost_new(P, c, t), (pts, c, t)
 
     def test_lower_dimensional_segment(self):
         seg = LatticePolytope([(0, 0), (2, 4)])
