@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product
 from typing import Sequence
 
-from .geometry import AlmostIntegralPolytope, LatticePolytope, affine_hull, hrep
+from .geometry import AlmostIntegralPolytope, LatticePolytope, affine_hull
 from .linalg import (
     DimensionMismatch,
     IntMatrix,
@@ -40,9 +39,6 @@ class InterpolationGuardFailed(RuntimeError):
     """
 
 
-_hrep = lru_cache(maxsize=None)(hrep)
-
-
 def _count_fulldim(P: LatticePolytope, c, t) -> int:
     """Count integer points of c + tP for full-dimensional P.
 
@@ -51,7 +47,7 @@ def _count_fulldim(P: LatticePolytope, c, t) -> int:
     enumeration loop is pure integer arithmetic.
     """
     d = P.ambient_dim
-    bounds = [(a, math.floor(t * b + dot(a, c))) for a, b in _hrep(P).inequalities]
+    bounds = [(a, math.floor(t * b + dot(a, c))) for a, b in P.hrep.inequalities]
     pts = [vec_add(c, vec_scale(t, v)) for v in P.vertices]
     lo = [math.ceil(min(p[i] for p in pts)) for i in range(d)]
     hi = [math.floor(max(p[i] for p in pts)) for i in range(d)]

@@ -2,17 +2,16 @@
 hulls with their lattice bases, faces, relative volumes, and the two shape
 classifiers (central symmetry, zonotope-by-2-faces).
 
-Facet enumeration is brute force over vertex subsets with exact rational
-arithmetic, which is entirely adequate at the dimensions and vertex counts
-this package targets (d <= 8, at most a few hundred vertices).
+Facets come from one exact integer double-description hull.  A polytope
+object caches its facets and its inequality description.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
 from typing import Optional, Sequence
 
 from .linalg import (
@@ -91,33 +90,92 @@ def _hyperplane_normal(diffs: Sequence, m: int) -> Optional[tuple]:
     return primitive_vector(ker[0])
 
 
+def _affine_basis(points: Sequence, m: int) -> list:
+    """Indices of m+1 affinely independent points of a full-dimensional
+    list, each taken greedily in input order when it raises the rank."""
+    p0 = points[0]
+    chosen, rows = [0], []  # rows: (pivot column, reduced difference)
+    for i, p in enumerate(points):
+        v = vec_sub(p, p0)
+        for c, r in rows:
+            if v[c]:
+                v = tuple(r[c] * x - v[c] * y for x, y in zip(v, r))
+        pivot = next((c for c, x in enumerate(v) if x), None)
+        if pivot is not None:
+            rows.append((pivot, v))
+            chosen.append(i)
+            if len(rows) == m:
+                break
+    return chosen
+
+
+def _adjacent(common: int, zero_sets: list) -> bool:
+    """Whether exactly two of the rays' zero sets contain ``common``, the
+    intersection of two of them: the combinatorial adjacency test."""
+    hits = 0
+    for z in zero_sets:
+        if z & common == common:
+            hits += 1
+            if hits > 2:
+                return False
+    return True
+
+
 def _facets_from_points(points: Sequence, m: int) -> list:
-    """Facets of the convex hull of full-dimensional ``points`` in R^m.
+    """Facets of the convex hull of full-dimensional integer ``points`` in Z^m.
 
     Returns sorted (normal, offset, index frozenset) triples with outward
-    primitive integer normals; redundant input points are harmless.
+    primitive integer normals and every input index on the facet;
+    redundant and repeated input points are harmless.
+
+    Double description (Fukuda & Prodon 1996) on the cone of valid
+    inequalities {(a, b) : a·p <= b for every point p}, whose extreme
+    rays are the facets.  The cone starts from the simplex on m+1
+    affinely independent points and takes the other points one at a
+    time.  Each ray (a, b) carries its zero set, the bitmask of points
+    taken so far with a·p = b.  A point cuts the rays it violates; every
+    violated ray adjacent to a satisfied one yields their integer
+    combination through the point.
     """
-    found = {}
-    for subset in combinations(range(len(points)), m):
-        p0 = points[subset[0]]
-        diffs = [vec_sub(points[i], p0) for i in subset[1:]]
-        normal = _hyperplane_normal(diffs, m)
-        if normal is None:
+    simplex = _affine_basis(points, m)
+    rays = []
+    for j in simplex:
+        face = [i for i in simplex if i != j]
+        p0 = points[face[0]]
+        a = _hyperplane_normal([vec_sub(points[i], p0) for i in face[1:]], m)
+        b = dot(a, p0)
+        if dot(a, points[j]) > b:
+            a, b = tuple(-x for x in a), -b
+        rays.append((a, b, sum(1 << i for i in face)))
+    taken = set(simplex)
+    for k, p in enumerate(points):
+        if k in taken:
             continue
-        b = dot(normal, p0)
-        vals = [dot(normal, p) for p in points]
-        if all(v <= b for v in vals):
-            pass
-        elif all(v >= b for v in vals):
-            normal = tuple(-x for x in normal)
-            b = -b
-            vals = [-v for v in vals]
-        else:
-            continue
-        key = (normal, Fraction(b))
-        if key not in found:
-            found[key] = frozenset(i for i, v in enumerate(vals) if v == b)
-    return sorted((a, b, idx) for (a, b), idx in found.items())
+        bit = 1 << k
+        inside, outside, nxt = [], [], []
+        for a, b, z in rays:
+            s = b - dot(a, p)
+            if s > 0:
+                inside.append((s, a, b, z))
+                nxt.append((a, b, z))
+            elif s == 0:
+                nxt.append((a, b, z | bit))
+            else:
+                outside.append((s, a, b, z))
+        if outside:
+            zero_sets = [z for _, _, z in rays]
+            for s_in, a_in, b_in, z_in in inside:
+                for s_out, a_out, b_out, z_out in outside:
+                    common = z_in & z_out
+                    if common.bit_count() < m - 1 or not _adjacent(common, zero_sets):
+                        continue
+                    a = [s_in * x - s_out * y for x, y in zip(a_out, a_in)]
+                    b = s_in * b_out - s_out * b_in
+                    g = math.gcd(*a, b)
+                    nxt.append((tuple(x // g for x in a), b // g, common | bit))
+        rays = nxt
+    members = range(len(points))
+    return sorted((a, Fraction(b), frozenset(i for i in members if z >> i & 1)) for a, b, z in rays)
 
 
 class LatticePolytope:
@@ -197,6 +255,39 @@ class LatticePolytope:
             return ()
         return tuple(_facets_from_points(self.coords, self.dim))
 
+    @cached_property
+    def hrep(self) -> HRep:
+        """Primitive integer inequalities a·x <= b, one per facet, and
+        equalities cutting out the affine hull, both sorted."""
+        d = self.ambient_dim
+        m = self.dim
+        hull = affine_hull(self)
+        v0 = hull.origin
+        equalities = []
+        if m < d:
+            if m == 0:
+                normals = [tuple(int(i == j) for i in range(d)) for j in range(d)]
+            else:
+                normals = [
+                    primitive_vector(k, canonical_sign=True)
+                    for k in kernel_basis(hull.lattice_basis, d)
+                ]
+            equalities = sorted((a, Fraction(dot(a, v0))) for a in normals)
+        inequalities = []
+        if m >= 1:
+            B = hull.lattice_basis
+            gram = [[dot(bi, bj) for bj in B] for bi in B]
+            for a_w, b_w, _ in self.coord_facets:
+                # ambient normal a with a·B = a_w: a = B · Gram^{-1} · a_w
+                y = solve_columns(gram, a_w)
+                a_raw = tuple(sum(y[j] * B[j][i] for j in range(m)) for i in range(d))
+                a = primitive_vector(a_raw)
+                scale = Fraction(a[next(i for i in range(d) if a[i])], a_raw[next(i for i in range(d) if a[i])])
+                b = scale * (Fraction(dot(a_raw, v0)) + Fraction(b_w))
+                inequalities.append((a, b))
+            inequalities.sort()
+        return HRep(ambient_dim=d, inequalities=tuple(inequalities), equalities=tuple(equalities))
+
 
 def affine_hull(P: LatticePolytope) -> AffineHull:
     m, origin, basis, _ = P._hull_data
@@ -204,34 +295,8 @@ def affine_hull(P: LatticePolytope) -> AffineHull:
 
 
 def hrep(P: LatticePolytope) -> HRep:
-    d = P.ambient_dim
-    m = P.dim
-    hull = affine_hull(P)
-    v0 = hull.origin
-    equalities = []
-    if m < d:
-        if m == 0:
-            normals = [tuple(int(i == j) for i in range(d)) for j in range(d)]
-        else:
-            normals = [
-                primitive_vector(k, canonical_sign=True)
-                for k in kernel_basis(hull.lattice_basis, d)
-            ]
-        equalities = sorted((a, Fraction(dot(a, v0))) for a in normals)
-    inequalities = []
-    if m >= 1:
-        B = hull.lattice_basis
-        gram = [[dot(bi, bj) for bj in B] for bi in B]
-        for a_w, b_w, _ in P.coord_facets:
-            # ambient normal a with a·B = a_w: a = B · Gram^{-1} · a_w
-            y = solve_columns(gram, a_w)
-            a_raw = tuple(sum(y[j] * B[j][i] for j in range(m)) for i in range(d))
-            a = primitive_vector(a_raw)
-            scale = Fraction(a[next(i for i in range(d) if a[i])], a_raw[next(i for i in range(d) if a[i])])
-            b = scale * (Fraction(dot(a_raw, v0)) + Fraction(b_w))
-            inequalities.append((a, b))
-        inequalities.sort()
-    return HRep(ambient_dim=d, inequalities=tuple(inequalities), equalities=tuple(equalities))
+    """The facet description of P, computed once per polytope object."""
+    return P.hrep
 
 
 def faces_of_dim(P: LatticePolytope, j: int) -> list:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Optional, Sequence
 
 
@@ -139,16 +138,6 @@ class IntMatrix:
             raise DimensionMismatch("vector length does not match column count")
         return tuple(dot(self.row(i), v) for i in range(self.rows))
 
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise DimensionMismatch("inner dimensions differ")
-        return IntMatrix.from_rows(
-            [
-                [dot(self.row(i), other.column(j)) for j in range(other.cols)]
-                for i in range(self.rows)
-            ]
-        )
-
     def diagonal(self) -> tuple:
         return tuple(self.entry(i, i) for i in range(min(self.rows, self.cols)))
 
@@ -242,27 +231,6 @@ def solve_columns(columns: Sequence[Sequence], target: Sequence) -> tuple:
         if aug[i][m] != 0:
             raise ValueError("inconsistent system")
     return tuple(aug[i][m] for i in range(m))
-
-
-def determinant(rows: Sequence[Sequence]) -> Fraction:
-    """Exact determinant via fraction Gaussian elimination."""
-    n = len(rows)
-    mat = [[Fraction(x) for x in r] for r in rows]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((i for i in range(col, n) if mat[i][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            mat[col], mat[piv] = mat[piv], mat[col]
-            det = -det
-        det *= mat[col][col]
-        p = mat[col][col]
-        for i in range(col + 1, n):
-            if mat[i][col] != 0:
-                f = mat[i][col] / p
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[col])]
-    return det
 
 
 # ---------------------------------------------------------------------------
@@ -405,18 +373,6 @@ def gcd_maximal_minors(W: IntMatrix) -> int:
     if dec.rank < W.cols:
         raise RankDeficient("matrix does not have full column rank")
     return math.prod(dec.invariant_factors)
-
-
-def gcd_maximal_minors_direct(W: IntMatrix) -> int:
-    """Independent oracle: enumerate every maximal minor and take the gcd."""
-    k = W.cols
-    if rational_rank([W.column(j) for j in range(k)]) < k:
-        raise RankDeficient("matrix does not have full column rank")
-    g = 0
-    for rows in combinations(range(W.rows), k):
-        minor = determinant([[W.entry(i, j) for j in range(k)] for i in rows])
-        g = math.gcd(g, int(minor))
-    return g
 
 
 def affine_lattice_nonempty(W: IntMatrix, v: Sequence) -> bool:

@@ -9,8 +9,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+# Small integral coefficients are shared: most constituents of counting
+# results have a handful of such coefficients, and one Fraction each would
+# dominate the memory a kept result takes.
+_SMALL_LO, _SMALL_HI = -5, 256
+_SMALL = tuple(Fraction(n) for n in range(_SMALL_LO, _SMALL_HI + 1))
 
-@dataclass(frozen=True)
+
+def _coefficient(c) -> Fraction:
+    f = Fraction(c)
+    if f.denominator == 1 and _SMALL_LO <= f.numerator <= _SMALL_HI:
+        return _SMALL[f.numerator - _SMALL_LO]
+    return f
+
+
+@dataclass(frozen=True, slots=True)
 class Polynomial:
     """Polynomial with rational coefficients, ascending degree.
 
@@ -21,7 +34,7 @@ class Polynomial:
     coefficients: tuple
 
     def __init__(self, coefficients: Iterable = ()):
-        coeffs = [Fraction(c) for c in coefficients]
+        coeffs = [_coefficient(c) for c in coefficients]
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         object.__setattr__(self, "coefficients", tuple(coeffs))
@@ -92,19 +105,21 @@ def polynomial_from_strings(items: Sequence) -> Polynomial:
     return Polynomial(Fraction(s) for s in items)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QuasiPolynomial:
     """Quasi-polynomial with period rho and constituents f_1, ..., f_rho.
 
     ``constituents[k-1]`` governs arguments congruent to k mod rho; the
     entry at index rho-1 doubles as the 0-th constituent (f_rho = f_0).
+    Equal constituents are stored as one object.
     """
 
     period: int
     constituents: tuple
 
     def __init__(self, period: int, constituents: Iterable):
-        cons = tuple(constituents)
+        distinct = {}
+        cons = tuple(distinct.setdefault(f, f) for f in constituents)
         if period < 1:
             raise ValueError("period must be >= 1")
         if len(cons) != period:

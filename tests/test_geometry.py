@@ -1,8 +1,12 @@
+import math
 import random
+import time
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
+from ehrkit import geometry
 from ehrkit.counting import translated_enumerator
 from ehrkit.geometry import (
     AlmostIntegralPolytope,
@@ -16,7 +20,7 @@ from ehrkit.geometry import (
     minkowski_facet_check,
     relative_volume,
 )
-from ehrkit.linalg import DimensionMismatch, dot, vec_add
+from ehrkit.linalg import DimensionMismatch, dot, rational_rank, vec_add, vec_sub
 from ehrkit.zonotopes import ZonotopeSpec, zonotope_vertices
 
 CUBE = LatticePolytope([(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)])
@@ -24,6 +28,47 @@ OCTA = LatticePolytope([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1),
 PENTAGON = LatticePolytope([(1, 0), (0, 1), (0, 2), (1, 3), (2, 1)])
 SIMPLEX2 = LatticePolytope([(0, 0), (1, 0), (0, 1)])
 HEXAGON = LatticePolytope([(0, 0), (1, 0), (2, 1), (2, 2), (1, 2), (0, 1)])
+
+
+def _det(rows):
+    """Integer determinant by cofactor expansion along the first row."""
+    if len(rows) < 2:
+        return rows[0][0] if rows else 1
+    return sum((-1) ** j * x * _det([r[:j] + r[j + 1 :] for r in rows[1:]]) for j, x in enumerate(rows[0]) if x)
+
+
+def brute_facets(points, m):
+    """Facets of the hull of full-dimensional ``points`` in Z^m by brute
+    force over every m-subset: the oracle for the double-description hull.
+
+    Same contract as ``geometry._facets_from_points``: sorted (primitive
+    outward normal, Fraction offset, frozenset of indices on the facet).
+    The normal of m points is the cofactor vector of their m-1
+    differences, zero when they span no hyperplane.
+    """
+    found = {}
+    for subset in combinations(range(len(points)), m):
+        p0 = points[subset[0]]
+        diffs = [vec_sub(points[i], p0) for i in subset[1:]]
+        normal = [(-1) ** i * _det([r[:i] + r[i + 1 :] for r in diffs]) for i in range(m)]
+        g = math.gcd(*normal)
+        if g == 0:
+            continue
+        normal = tuple(x // g for x in normal)
+        b = dot(normal, p0)
+        vals = [dot(normal, p) for p in points]
+        if all(v <= b for v in vals):
+            pass
+        elif all(v >= b for v in vals):
+            normal = tuple(-x for x in normal)
+            b = -b
+            vals = [-v for v in vals]
+        else:
+            continue
+        key = (normal, Fraction(b))
+        if key not in found:
+            found[key] = frozenset(i for i, v in enumerate(vals) if v == b)
+    return sorted((a, b, idx) for (a, b), idx in found.items())
 
 
 def random_lattice_polytope(rng, d, npts=6, bound=3):
@@ -53,6 +98,36 @@ class TestConstruction:
 
     def test_hashable_and_equal_by_vertices(self):
         assert LatticePolytope([(0, 0), (1, 0), (0, 0)]) == LatticePolytope([(1, 0), (0, 0)])
+
+
+class TestHull:
+    def test_matches_brute_force(self):
+        rng = random.Random(211)
+        done = 0
+        while done < 150:
+            m = rng.randint(1, 4)
+            width = rng.randint(1, 5)
+            pts = [tuple(rng.randint(0, width) for _ in range(m)) for _ in range(rng.randint(m + 1, m + 10))]
+            if done % 3 == 0:
+                pts += [rng.choice(pts) for _ in range(rng.randint(1, 3))]
+                rng.shuffle(pts)
+            if rational_rank([vec_sub(p, pts[0]) for p in pts[1:]]) < m:
+                continue
+            facets = brute_facets(pts, m)
+            assert geometry._facets_from_points(pts, m) == facets, pts
+            # a vertex is a point on facets whose normals have full rank
+            vertices = {p for i, p in enumerate(pts) if rational_rank([a for a, _, idx in facets if i in idx]) == m}
+            assert LatticePolytope(pts).vertices == tuple(sorted(vertices)), pts
+            done += 1
+
+    def test_five_cube(self):
+        start = time.perf_counter()
+        P = LatticePolytope(product((0, 1), repeat=5))
+        assert len(P.vertices) == 32
+        assert len(P.coord_facets) == 10
+        assert relative_volume(P) == 1
+        # a C(n, m) hull spends minutes here
+        assert time.perf_counter() - start < 10
 
 
 class TestAffineHull:

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -9,9 +10,8 @@ from ehrkit.linalg import (
     IntMatrix,
     RankDeficient,
     affine_lattice_nonempty,
-    determinant,
+    dot,
     gcd_maximal_minors,
-    gcd_maximal_minors_direct,
     integer_point_in_translated_span,
     kernel_basis,
     lcm_denominators,
@@ -20,6 +20,44 @@ from ehrkit.linalg import (
     snf,
     solve_columns,
 )
+
+
+def matmul(A, B):
+    """The product of two integer matrices."""
+    return IntMatrix.from_rows([[dot(A.row(i), B.column(j)) for j in range(B.cols)] for i in range(A.rows)])
+
+
+def determinant(rows):
+    """Exact determinant via fraction Gaussian elimination."""
+    n = len(rows)
+    mat = [[Fraction(x) for x in r] for r in rows]
+    det = Fraction(1)
+    for col in range(n):
+        piv = next((i for i in range(col, n) if mat[i][col] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            mat[col], mat[piv] = mat[piv], mat[col]
+            det = -det
+        det *= mat[col][col]
+        p = mat[col][col]
+        for i in range(col + 1, n):
+            if mat[i][col] != 0:
+                f = mat[i][col] / p
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[col])]
+    return det
+
+
+def gcd_maximal_minors_direct(W):
+    """Oracle for gcd_maximal_minors: enumerate every maximal minor and
+    take the gcd."""
+    k = W.cols
+    if rational_rank([W.column(j) for j in range(k)]) < k:
+        raise RankDeficient("matrix does not have full column rank")
+    g = 0
+    for rows in combinations(range(W.rows), k):
+        g = math.gcd(g, int(determinant([[W.entry(i, j) for j in range(k)] for i in rows])))
+    return g
 
 
 def random_matrix(rng, max_dim=8, bound=20):
@@ -50,10 +88,10 @@ class TestSnf:
         for _ in range(60):
             W = random_matrix(rng)
             dec = snf(W)
-            assert dec.U @ W @ dec.V == dec.D
+            assert matmul(matmul(dec.U, W), dec.V) == dec.D
             assert abs(determinant(dec.U.row_lists())) == 1
             assert abs(determinant(dec.V.row_lists())) == 1
-            assert dec.U @ dec.U_inverse == IntMatrix.identity(W.rows)
+            assert matmul(dec.U, dec.U_inverse) == IntMatrix.identity(W.rows)
             diag = dec.D.diagonal()
             assert all(d >= 0 for d in diag)
             for a, b in zip(diag, diag[1:]):

@@ -1,8 +1,12 @@
+import gc
 import random
+import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+from ehrkit.characterize import classify
 from ehrkit.counting import count_points
 from ehrkit.geometry import LatticePolytope
 from ehrkit.linalg import is_integer_vector, vec_scale
@@ -90,6 +94,30 @@ class TestAbmQuasi:
                 assert c0 == expected
 
 
+class TestKeptResults:
+    def test_memory_per_result(self):
+        # a benchmark or a caller keeps every result; equal constituents
+        # share one object and small integral coefficients one Fraction
+        rng = random.Random(307)
+        specs = []
+        while len(specs) < 300:
+            d = rng.randint(2, 3)
+            gens = [tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(rng.randint(1, d + 1))]
+            if all(any(g) for g in gens):
+                q = rng.randint(1, 6)
+                specs.append(ZonotopeSpec(gens, [Fraction(rng.randrange(q), q) for _ in range(d)]))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            kept = [abm_quasi(Z) for Z in specs]
+            gc.collect()
+            per_result = (tracemalloc.get_traced_memory()[0] - before) / len(kept)
+        finally:
+            tracemalloc.stop()
+        assert per_result <= 600, per_result
+
+
 class TestZonotopeVertices:
     def test_unit_square(self):
         A = zonotope_vertices(ZonotopeSpec([(1, 0), (0, 1)]))
@@ -103,6 +131,20 @@ class TestZonotopeVertices:
         A = zonotope_vertices(ZonotopeSpec([(2, 4)], (Fraction(1, 2), 0)))
         assert A.base.vertices == ((0, 0), (2, 4))
         assert A.translate == (Fraction(1, 2), 0)
+
+
+    def test_eight_generators_in_general_position(self):
+        # any three of the moment-curve generators (1, s, s^2) are independent
+        Z = ZonotopeSpec([(1, s, s * s) for s in range(-3, 5)], (Fraction(1, 2), Fraction(1, 3), 0))
+        start = time.perf_counter()
+        P = zonotope_vertices(Z).base
+        report = classify(P)
+        # a C(n, m) hull over the 256 subset sums spends minutes here
+        assert time.perf_counter() - start < 10
+        assert len(P.vertices) == 58
+        assert len(P.coord_facets) == 56
+        assert report["zonotope"] and report["centrally_symmetric"]
+        assert evaluate(abm_quasi(Z), 1) == count_points(P, Z.translate, 1)
 
 
 class TestPointBound:
