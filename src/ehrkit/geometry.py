@@ -3,7 +3,11 @@ hulls with their lattice bases, faces, relative volumes, and the two shape
 classifiers (central symmetry, zonotope-by-2-faces).
 
 Facets come from one exact integer double-description hull.  A polytope
-object caches its facets and its inequality description.
+object caches its facets and its inequality description.  Faces, facet
+volumes, relative volumes and the zonotope test come from the facet
+incidences: the face lattice is built once per call from the vertex sets
+of the facets, and volumes are summed over a pulling triangulation with
+integer determinants.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from typing import Optional, Sequence
 from .linalg import (
     DimensionMismatch,
     IntMatrix,
+    det,
     dot,
     kernel_basis,
     lcm_denominators,
@@ -299,12 +304,14 @@ def hrep(P: LatticePolytope) -> HRep:
     return P.hrep
 
 
-def faces_of_dim(P: LatticePolytope, j: int) -> list:
-    m = P.dim
-    if not 0 <= j <= m:
-        raise ValueError(f"face dimension {j} out of range 0..{m}")
-    if j == m:
-        return [Face(tuple(range(len(P.vertices))), m)]
+def _face_lattice(P: LatticePolytope) -> dict:
+    """{frozenset of vertex indices: dimension} for every nonempty face of P.
+
+    The proper faces are the closure of the facet vertex sets under
+    intersection (Ziegler, *Lectures on Polytopes*).  Visiting the
+    sets from largest to smallest, a face's dimension is one less than the
+    smallest dimension among the faces strictly containing it.
+    """
     facet_sets = [idx for _, _, idx in P.coord_facets]
     closure = set(facet_sets)
     frontier = set(facet_sets)
@@ -317,65 +324,101 @@ def faces_of_dim(P: LatticePolytope, j: int) -> list:
                     closure.add(h)
                     new.add(h)
         frontier = new
-    out = []
-    for s in closure:
-        pts = [P.vertices[i] for i in s]
-        dim_s, _, _, _ = _lattice_coords(pts)
-        if dim_s == j:
-            out.append(Face(tuple(sorted(s)), j))
-    out.sort(key=lambda f: f.vertex_indices)
-    return out
+    lattice = {frozenset(range(len(P.vertices))): P.dim}
+    for s in sorted(closure, key=len, reverse=True):
+        lattice[s] = min(k for t, k in lattice.items() if s < t) - 1
+    return lattice
 
 
-def _relvol_fulldim(points: Sequence, m: int) -> Fraction:
-    """Relative volume of a full-dimensional lattice polytope in Z^m.
+def faces_of_dim(P: LatticePolytope, j: int) -> list:
+    m = P.dim
+    if not 0 <= j <= m:
+        raise ValueError(f"face dimension {j} out of range 0..{m}")
+    faces = [Face(tuple(sorted(s)), j) for s, k in _face_lattice(P).items() if k == j]
+    faces.sort(key=lambda f: f.vertex_indices)
+    return faces
 
-    Pyramid decomposition over the facets not containing the first point;
-    with primitive facet normals the lattice height of the apex is
-    |a·v0 - b|, so relvol = sum relvol(F) * height / m.
-    """
-    if m == 0:
-        return Fraction(1)
-    facets = _facets_from_points(points, m)
-    v0 = points[0]
-    total = Fraction(0)
-    for a, b, idx in facets:
-        h = Fraction(b) - dot(a, v0)
-        if h == 0:
-            continue
-        fpts = [points[i] for i in idx]
-        fm, _, _, fcoords = _lattice_coords(fpts)
-        total += _relvol_fulldim(fcoords, fm) * h
-    return total / m
+
+def _pulling_triangulation(lattice: dict):
+    """Function from a face of ``lattice`` to the simplices, as tuples of
+    vertex indices, of its pulling triangulation: the face's smallest
+    vertex joined to each simplex of each of its facets that miss that
+    vertex (De Loera, Rambau & Santos, *Triangulations*).
+    Triangulations of shared faces are computed once."""
+    by_dim = {}
+    for s, k in lattice.items():
+        by_dim.setdefault(k, []).append(s)
+    memo = {}
+
+    def simplices(s):
+        if s not in memo:
+            v, k = min(s), lattice[s]
+            if k == 0:
+                memo[s] = [(v,)]
+            else:
+                facets = [f for f in by_dim[k - 1] if f < s and v not in f]
+                memo[s] = [(v,) + t for f in facets for t in simplices(f)]
+        return memo[s]
+
+    return simplices
+
+
+def _simplex_volumes(X, simplices) -> int:
+    """Σ |det| of the edge vectors of each simplex, vertex i at X[i]."""
+    total = 0
+    for s in simplices:
+        x0 = X[s[0]]
+        total += abs(det([vec_sub(X[i], x0) for i in s[1:]]))
+    return total
 
 
 def relative_volume(P: LatticePolytope) -> Fraction:
     """Volume normalized so a fundamental cell of aff(P) ∩ Z^d has volume 1.
 
-    A point has relative volume 1 (empty-product convention)."""
-    return _relvol_fulldim(P.coords, P.dim)
+    Sum of the lattice volumes of a pulling triangulation; a point has
+    relative volume 1 (empty-product convention)."""
+    lattice = _face_lattice(P)
+    whole = frozenset(range(len(P.vertices)))
+    total = _simplex_volumes(P.coords, _pulling_triangulation(lattice)(whole))
+    return Fraction(total, math.factorial(P.dim))
+
+
+def _facet_volumes(P: LatticePolytope) -> dict:
+    """{primitive normal: relative volume} over the facets of P.
+
+    The edge vectors of a facet's simplices lie in the lattice a^⊥ ∩ Z^m
+    of its normal a.
+    Dropping a coordinate i with a_i ≠ 0 maps that lattice onto a
+    sublattice of Z^(m-1) of index |a_i|, because gcd(a) = 1.
+    """
+    m = P.dim
+    simplices = _pulling_triangulation(_face_lattice(P))
+    vols = {}
+    for a, _, idx in P.coord_facets:
+        i = next(i for i, x in enumerate(a) if x)
+        dropped = {j: P.coords[j][:i] + P.coords[j][i + 1 :] for j in idx}
+        vols[a] = Fraction(_simplex_volumes(dropped, simplices(idx)), math.factorial(m - 1) * abs(a[i]))
+    return vols
+
+
+def _symmetry_center(points: Sequence) -> Optional[tuple]:
+    """The vector c with {c - p} = {p} over the distinct integer ``points``,
+    if one exists, else None.
+
+    The points of a centrally symmetric set come in antipodal pairs
+    around their centroid, so the reflection test through the centroid
+    is exact and sufficient.
+    """
+    n = len(points)
+    c = tuple(Fraction(2 * sum(col), n) for col in zip(*points))
+    point_set = {tuple(map(Fraction, p)) for p in points}
+    reflected = {tuple(ci - pi for ci, pi in zip(c, p)) for p in points}
+    return c if reflected == point_set else None
 
 
 def is_centrally_symmetric(P: LatticePolytope) -> Optional[tuple]:
-    """The vector c with P = c + (-P) if one exists, else None.
-
-    Vertices of a centrally symmetric polytope come in antipodal pairs
-    around the vertex centroid, so the multiset reflection test through
-    the centroid is exact and sufficient.
-    """
-    verts = P.vertices
-    n = len(verts)
-    d = P.ambient_dim
-    c = tuple(Fraction(2 * sum(v[i] for v in verts), n) for i in range(d))
-    vertex_set = {tuple(map(Fraction, v)) for v in verts}
-    reflected = {tuple(ci - vi for ci, vi in zip(c, v)) for v in verts}
-    return c if reflected == vertex_set else None
-
-
-def _facet_relvol(P: LatticePolytope, idx) -> Fraction:
-    pts = [P.vertices[i] for i in idx]
-    fm, _, _, fcoords = _lattice_coords(pts)
-    return _relvol_fulldim(fcoords, fm)
+    """The vector c with P = c + (-P) if one exists, else None."""
+    return _symmetry_center(P.vertices)
 
 
 def minkowski_facet_check(P: LatticePolytope) -> list:
@@ -385,16 +428,12 @@ def minkowski_facet_check(P: LatticePolytope) -> list:
     """
     if P.dim < 1:
         raise ValueError("facet check needs dim >= 1")
-    facets = P.coord_facets
-    by_normal = {a: idx for a, _, idx in facets}
-    vols = {a: _facet_relvol(P, idx) for a, _, idx in facets}
-    violations = []
-    for a, _, idx in facets:
-        neg = tuple(-x for x in a)
-        partner = by_normal.get(neg)
-        if partner is None or vols[a] != vols[neg]:
-            violations.append(Face(tuple(sorted(idx)), P.dim - 1))
-    return violations
+    vols = _facet_volumes(P)
+    return [
+        Face(tuple(sorted(idx)), P.dim - 1)
+        for a, _, idx in P.coord_facets
+        if vols.get(tuple(-x for x in a)) != vols[a]
+    ]
 
 
 def face_polytope(P: LatticePolytope, face: Face) -> LatticePolytope:
@@ -415,7 +454,7 @@ def is_zonotope(P: LatticePolytope) -> tuple:
         whole = Face(tuple(range(len(P.vertices))), 2)
         return (True, None) if is_centrally_symmetric(P) is not None else (False, whole)
     for f in faces_of_dim(P, 2):
-        if is_centrally_symmetric(face_polytope(P, f)) is None:
+        if _symmetry_center([P.vertices[i] for i in f.vertex_indices]) is None:
             return False, f
     return True, None
 

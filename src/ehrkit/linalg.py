@@ -233,6 +233,30 @@ def solve_columns(columns: Sequence[Sequence], target: Sequence) -> tuple:
     return tuple(aug[i][m] for i in range(m))
 
 
+def det(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix by fraction-free Bareiss
+    elimination: every division is exact, so all entries stay integers.
+    The empty matrix has determinant 1."""
+    a = [list(r) for r in rows]
+    n = len(a)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            piv = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if piv is None:
+                return 0
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        pivot_row = a[k]
+        p = pivot_row[k]
+        for row in a[k + 1 :]:
+            x = row[k]
+            for j in range(k + 1, n):
+                row[j] = (p * row[j] - x * pivot_row[j]) // prev
+        prev = p
+    return sign * a[-1][-1] if n else 1
+
+
 # ---------------------------------------------------------------------------
 # Smith normal form
 

@@ -7,9 +7,11 @@ from itertools import combinations, product
 import pytest
 
 from ehrkit import geometry
+from ehrkit.characterize import classify
 from ehrkit.counting import translated_enumerator
 from ehrkit.geometry import (
     AlmostIntegralPolytope,
+    Face,
     LatticePolytope,
     affine_hull,
     face_polytope,
@@ -71,6 +73,76 @@ def brute_facets(points, m):
     return sorted((a, b, idx) for (a, b), idx in found.items())
 
 
+def brute_relvol(points):
+    """Relative volume of the hull of integer ``points`` by pyramids over
+    the facets missing the first point, with a fresh hull and SNF at every
+    level: the oracle for the pulling triangulation.
+
+    With primitive facet normals the lattice height of the apex is
+    |a·v0 - b|, so relvol = sum relvol(F) * height / m.
+    """
+    m, _, _, coords = geometry._lattice_coords(points)
+    if m == 0:
+        return Fraction(1)
+    v0 = coords[0]
+    total = Fraction(0)
+    for a, b, idx in geometry._facets_from_points(coords, m):
+        h = b - dot(a, v0)
+        if h:
+            total += brute_relvol([coords[i] for i in idx]) * h
+    return total / m
+
+
+def brute_faces(P):
+    """{j: the j-faces of P} from the closure of the facet vertex sets
+    under intersection, each face's dimension the SNF rank of its points:
+    the oracle for ``faces_of_dim``."""
+    facet_sets = [idx for _, _, idx in P.coord_facets]
+    closure = set(facet_sets)
+    frontier = set(facet_sets)
+    while frontier:
+        frontier = {f & g for f in frontier for g in facet_sets if f & g} - closure
+        closure |= frontier
+    faces = {j: [] for j in range(P.dim + 1)}
+    faces[P.dim].append(tuple(range(len(P.vertices))))
+    for s in closure:
+        faces[geometry._lattice_coords([P.vertices[i] for i in s])[0]].append(tuple(sorted(s)))
+    return {j: [Face(s, j) for s in sorted(found)] for j, found in faces.items()}
+
+
+def brute_symmetric(points):
+    """Whether a set of integer points is centrally symmetric: its
+    lexicographically smallest and largest points would be antipodal."""
+    c = vec_add(min(points), max(points))
+    return {vec_sub(c, p) for p in points} == set(points)
+
+
+def brute_is_zonotope(P, faces):
+    """The zonotope verdict and witness from the faces of ``brute_faces``
+    and a polytope built for every 2-face."""
+    if P.dim <= 1:
+        return True, None
+    for f in faces[2]:
+        if not brute_symmetric(face_polytope(P, f).vertices):
+            return False, f
+    return True, None
+
+
+def random_case(rng):
+    """A random lattice polytope in Z^d, d = 1..4: about 30 % of them
+    embedded lower-dimensionally, about 20 % mirrored through the origin."""
+    d = rng.randint(1, 4)
+    k = rng.randint(1, d - 1) if d > 1 and rng.random() < 0.3 else d
+    pts = [tuple(rng.randint(-1, 1) for _ in range(k)) for _ in range(rng.randint(k + 1, k + 4))]
+    if rng.random() < 0.2:
+        pts += [tuple(-x for x in p) for p in pts]
+    if k < d:
+        rows = [[rng.randint(-1, 2) for _ in range(k)] for _ in range(d)]
+        shift = [rng.randint(-2, 2) for _ in range(d)]
+        pts = [tuple(dot(r, p) + s for r, s in zip(rows, shift)) for p in pts]
+    return LatticePolytope(pts)
+
+
 def random_lattice_polytope(rng, d, npts=6, bound=3):
     while True:
         pts = [tuple(rng.randint(-bound, bound) for _ in range(d)) for _ in range(npts)]
@@ -128,6 +200,43 @@ class TestHull:
         assert relative_volume(P) == 1
         # a C(n, m) hull spends minutes here
         assert time.perf_counter() - start < 10
+
+
+class TestFaceLattice:
+    def test_matches_brute_force(self):
+        rng = random.Random(1013)
+        for _ in range(300):
+            P = random_case(rng)
+            m = P.dim
+            faces = brute_faces(P)
+            for j in range(m + 1):
+                assert faces_of_dim(P, j) == faces[j], (P, j)
+            assert (is_centrally_symmetric(P) is not None) == brute_symmetric(P.vertices), P
+            assert is_zonotope(P) == brute_is_zonotope(P, faces), P
+            if m == 0:
+                assert relative_volume(P) == 1
+            else:
+                vols = {a: brute_relvol([P.vertices[i] for i in idx]) for a, _, idx in P.coord_facets}
+                assert geometry._facet_volumes(P) == vols, P
+                # the top level of brute_relvol, on the facet volumes above
+                x0 = P.coords[0]
+                pyramids = sum(vols[a] * (b - dot(a, x0)) for a, b, _ in P.coord_facets) / m
+                assert relative_volume(P) == pyramids, P
+                unpaired = [
+                    Face(tuple(sorted(idx)), m - 1)
+                    for a, _, idx in P.coord_facets
+                    if vols.get(tuple(-x for x in a)) != vols[a]
+                ]
+                assert minkowski_facet_check(P) == unpaired, P
+
+    def test_keeps_nothing_on_the_polytope(self):
+        # a caller may keep every polytope, so the face lattice and the
+        # triangulation are rebuilt per call, never cached on the polytope
+        for P in (CUBE, OCTA, PENTAGON, LatticePolytope([(3, 1)]), LatticePolytope([(0, 0, 0), (1, 2, 0), (2, 1, 1)])):
+            P = LatticePolytope(P.vertices)
+            classify(P)
+            relative_volume(P)
+            assert set(vars(P)) <= {"_hull_data", "coords", "coord_facets"}
 
 
 class TestAffineHull:
@@ -303,6 +412,22 @@ class TestIsZonotope:
         assert verdict
         Z = zonotope_vertices(ZonotopeSpec([(1, 0), (1, 1), (0, 1)])).base
         assert Z == HEXAGON
+
+    @pytest.mark.parametrize("d, two_faces", [(4, 24), (5, 80)])
+    def test_cubes(self, d, two_faces):
+        P = LatticePolytope(product((0, 1), repeat=d))
+        report = classify(P)
+        assert report["zonotope"] and report["centrally_symmetric"]
+        assert report["minkowski_violations"] == []
+        assert relative_volume(P) == 1
+        assert len(faces_of_dim(P, 2)) == two_faces
+
+    def test_four_dimensional_cross_polytope(self):
+        P = LatticePolytope([tuple(s * (i == k) for i in range(4)) for k in range(4) for s in (1, -1)])
+        report = classify(P)
+        assert report["centrally_symmetric"] and report["minkowski_violations"] == []
+        assert not report["zonotope"]
+        assert len(face_polytope(P, report["non_symmetric_2face"]).vertices) == 3
 
     def test_segment_and_point_trivially(self):
         assert is_zonotope(LatticePolytope([(0, 0), (2, 4)]))[0]

@@ -10,6 +10,7 @@ from ehrkit.linalg import (
     IntMatrix,
     RankDeficient,
     affine_lattice_nonempty,
+    det,
     dot,
     gcd_maximal_minors,
     integer_point_in_translated_span,
@@ -210,6 +211,26 @@ class TestAffineLatticeNonempty:
             z = tuple(rng.randint(-4, 4) for _ in range(d))
             shifted = tuple(a + b for a, b in zip(v, z))
             assert affine_lattice_nonempty(W, v) == affine_lattice_nonempty(W, shifted)
+
+
+class TestDet:
+    def test_matches_fraction_elimination(self):
+        rng = random.Random(71)
+        for _ in range(300):
+            n = rng.randint(0, 5)
+            rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+            if n and rng.random() < 0.3:
+                # singular: one row a combination of the others
+                coef = [rng.randint(-2, 2) for _ in range(n - 1)]
+                rows[-1] = [sum(c * r[j] for c, r in zip(coef, rows)) for j in range(n)]
+                rng.shuffle(rows)
+            assert det(rows) == determinant(rows), rows
+
+    def test_zero_pivot_and_empty(self):
+        assert det([]) == 1
+        assert det([[0, 1], [1, 0]]) == -1
+        assert det([[0, 0, 1], [0, 2, 0], [3, 0, 0]]) == -6
+        assert det([[1, 2], [2, 4]]) == 0
 
 
 class TestHelpers:

@@ -8,7 +8,7 @@ import pytest
 
 from ehrkit.characterize import classify
 from ehrkit.counting import count_points
-from ehrkit.geometry import LatticePolytope
+from ehrkit.geometry import LatticePolytope, relative_volume
 from ehrkit.linalg import is_integer_vector, vec_scale
 from ehrkit.qpoly import Polynomial, evaluate, has_gcd_property, minimal_period
 from ehrkit.zonotopes import (
@@ -144,7 +144,11 @@ class TestZonotopeVertices:
         assert len(P.vertices) == 58
         assert len(P.coord_facets) == 56
         assert report["zonotope"] and report["centrally_symmetric"]
-        assert evaluate(abm_quasi(Z), 1) == count_points(P, Z.translate, 1)
+        q = abm_quasi(Z)
+        assert evaluate(q, 1) == count_points(P, Z.translate, 1)
+        # the triangulated volume against the ABM formula's leading coefficients
+        assert relative_volume(P) == 1344
+        assert {f.leading_coefficient for f in q.constituents} == {1344}
 
 
 class TestPointBound:
