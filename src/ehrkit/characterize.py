@@ -5,6 +5,10 @@ constituents (non-zonotope base), plus the bundled classifier.
 A witness is a rational translate c together with two residues whose
 constituents provably differ.  Absence of a witness within the budget
 proves nothing; the report says so explicitly.
+
+A search interpolates one translated enumerator per class of c mod Z^d
+that its candidates and their partners reach; nothing is kept between
+searches or on the polytope.
 """
 
 from __future__ import annotations
@@ -12,15 +16,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count as icount, product
+from itertools import chain, count as icount, product
 from typing import Iterable, Optional
 
 from .counting import ehrhart_quasi, translated_enumerator
 from .geometry import (
     AlmostIntegralPolytope,
     LatticePolytope,
+    _face_lattice,
+    _is_zonotope,
+    _minkowski_violations,
     is_centrally_symmetric,
-    is_zonotope,
     minkowski_facet_check,
 )
 from .linalg import lcm_denominators, vec_neg, vec_scale, vec_sub
@@ -61,7 +67,10 @@ def _facet_direction_candidates(P: LatticePolytope):
     """Directions inside facets flagged by the parallel-volume check.
 
     When the facet pairing fails, translating along the offending facet
-    is where asymmetric behaviour is expected first."""
+    is where asymmetric behaviour is expected first.  A point has no
+    facets and yields none."""
+    if P.dim < 1:
+        return
     for face in minkowski_facet_check(P):
         verts = [P.vertices[i] for i in face.vertex_indices]
         for v in verts[1:]:
@@ -79,43 +88,48 @@ def _scaling_candidates(P: LatticePolytope):
             yield _reduce_mod_one(vec_scale(Fraction(1, q), u))
 
 
+def _search(P: LatticePolytope, kind: str, candidates, skip, partner, residues, budget: int) -> WitnessReport:
+    """The attempt loop of both searches: the first candidate c, not zero,
+    not seen and with ``skip(den(c))`` false, whose enumerator differs
+    from that of ``partner(c)``.
+
+    The enumerator depends only on c mod Z^d, and the grids revisit
+    classes as partners, so each class is interpolated once per call.
+    """
+    enumerators = {}
+
+    def enumerator(c):
+        key = _reduce_mod_one(c)
+        if key not in enumerators:
+            enumerators[key] = translated_enumerator(P, key)
+        return enumerators[key]
+
+    attempts = 0
+    seen = set()
+    for c in candidates:
+        if attempts >= budget:
+            break
+        if c in seen or not any(c) or skip(lcm_denominators(c)):
+            continue
+        seen.add(c)
+        attempts += 1
+        f, g = enumerator(c), enumerator(partner(c))
+        if f != g:
+            return WitnessReport(kind, True, c, residues(lcm_denominators(c)), (f, g), attempts, False)
+    return WitnessReport(kind, False, None, None, None, attempts, True)
+
+
 def asymmetry_witness(P: LatticePolytope, budget: int = DEFAULT_BUDGET) -> WitnessReport:
     """Search for c with L_{(P,c)} != L_{(P,-c)}.
 
     Such a c makes the quasi-polynomial of c + P asymmetric: its
     residue-1 and residue-(rho-1) constituents are exactly those two
     enumerators.  Candidates: facet-guided directions first, then grids
-    (1/q) Z^d ∩ [0,1)^d for q = 2, 3, 4, ...
+    (1/q) Z^d ∩ [0,1)^d for q = 2, 3, 4, ...  A denominator rho <= 2
+    forces -c = c (mod Z^d), so those candidates are skipped.
     """
-
-    def candidates():
-        yield from _facet_direction_candidates(P)
-        yield from _grid_candidates(P.ambient_dim, icount(2))
-
-    attempts = 0
-    seen = set()
-    for c in candidates():
-        if attempts >= budget:
-            break
-        # denominator <= 2 forces -c = c (mod Z^d), so no witness there
-        if c in seen or all(x == 0 for x in c) or lcm_denominators(c) <= 2:
-            continue
-        seen.add(c)
-        attempts += 1
-        f_pos = translated_enumerator(P, c)
-        f_neg = translated_enumerator(P, vec_neg(c))
-        if f_pos != f_neg:
-            rho = lcm_denominators(c)
-            return WitnessReport(
-                kind="asymmetry",
-                found=True,
-                translate=c,
-                residues=(1, rho - 1),
-                constituents=(f_pos, f_neg),
-                attempts=attempts,
-                budget_exhausted=False,
-            )
-    return WitnessReport("asymmetry", False, None, None, None, attempts, True)
+    candidates = chain(_facet_direction_candidates(P), _grid_candidates(P.ambient_dim, icount(2)))
+    return _search(P, "asymmetry", candidates, lambda rho: rho <= 2, vec_neg, lambda rho: (1, rho - 1), budget)
 
 
 def gcd_violation_witness(P: LatticePolytope, budget: int = DEFAULT_BUDGET) -> WitnessReport:
@@ -125,33 +139,10 @@ def gcd_violation_witness(P: LatticePolytope, budget: int = DEFAULT_BUDGET) -> W
     residue-1 and residue-2 constituents violate the gcd property.
     Candidates: odd scalings of coordinate directions, then odd-q grids.
     """
-
-    def candidates():
-        yield from _scaling_candidates(P)
-        yield from _grid_candidates(P.ambient_dim, icount(3, 2))
-
-    attempts = 0
-    seen = set()
-    for c in candidates():
-        if attempts >= budget:
-            break
-        if c in seen or all(x == 0 for x in c) or lcm_denominators(c) % 2 == 0:
-            continue
-        seen.add(c)
-        attempts += 1
-        f_one = translated_enumerator(P, c)
-        f_two = translated_enumerator(P, vec_scale(2, c))
-        if f_one != f_two:
-            return WitnessReport(
-                kind="gcd_violation",
-                found=True,
-                translate=c,
-                residues=(1, 2),
-                constituents=(f_one, f_two),
-                attempts=attempts,
-                budget_exhausted=False,
-            )
-    return WitnessReport("gcd_violation", False, None, None, None, attempts, True)
+    candidates = chain(_scaling_candidates(P), _grid_candidates(P.ambient_dim, icount(3, 2)))
+    return _search(
+        P, "gcd_violation", candidates, lambda rho: rho % 2 == 0, lambda c: vec_scale(2, c), lambda rho: (1, 2), budget
+    )
 
 
 def verify_witness(P: LatticePolytope, report: WitnessReport) -> bool:
@@ -175,10 +166,12 @@ def verify_witness(P: LatticePolytope, report: WitnessReport) -> bool:
 
 def classify(P: LatticePolytope, witness: bool = False, budget: int = DEFAULT_BUDGET) -> dict:
     """One structured verdict: central symmetry, facet pairing, zonotope
-    test, and (on request) the two witness searches."""
+    test, and (on request) the two witness searches.  The face lattice
+    is built once for the facet pairing and the zonotope test."""
     center = is_centrally_symmetric(P)
-    violations = minkowski_facet_check(P) if P.dim >= 1 else []
-    zono, bad_face = is_zonotope(P)
+    lattice = _face_lattice(P)
+    violations = _minkowski_violations(P, lattice)
+    zono, bad_face = _is_zonotope(P, lattice)
     report = {
         "centrally_symmetric": center is not None,
         "center": center,

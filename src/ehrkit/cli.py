@@ -515,6 +515,13 @@ def cmd_reproduce(args) -> int:
 # argument parsing
 
 
+def _budget(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"budget must be >= 0, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ehrkit",
@@ -546,7 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--witness", action="store_true", help="also search for violating translates")
     p.add_argument("--require-witness", action="store_true", help="exit 5 if a search exhausts its budget")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET, metavar="N", help="attempts per search, N >= 0")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("scan", help="counts of x*c + P over rational samples x")

@@ -330,13 +330,18 @@ def _face_lattice(P: LatticePolytope) -> dict:
     return lattice
 
 
+def _faces(lattice: dict, j: int) -> list:
+    """The j-faces of a face lattice, sorted by vertex indices."""
+    faces = [Face(tuple(sorted(s)), j) for s, k in lattice.items() if k == j]
+    faces.sort(key=lambda f: f.vertex_indices)
+    return faces
+
+
 def faces_of_dim(P: LatticePolytope, j: int) -> list:
     m = P.dim
     if not 0 <= j <= m:
         raise ValueError(f"face dimension {j} out of range 0..{m}")
-    faces = [Face(tuple(sorted(s)), j) for s, k in _face_lattice(P).items() if k == j]
-    faces.sort(key=lambda f: f.vertex_indices)
-    return faces
+    return _faces(_face_lattice(P), j)
 
 
 def _pulling_triangulation(lattice: dict):
@@ -383,8 +388,9 @@ def relative_volume(P: LatticePolytope) -> Fraction:
     return Fraction(total, math.factorial(P.dim))
 
 
-def _facet_volumes(P: LatticePolytope) -> dict:
-    """{primitive normal: relative volume} over the facets of P.
+def _facet_volumes(P: LatticePolytope, lattice: dict) -> dict:
+    """{primitive normal: relative volume} over the facets of P, whose
+    face lattice is ``lattice``.
 
     The edge vectors of a facet's simplices lie in the lattice a^⊥ ∩ Z^m
     of its normal a.
@@ -392,7 +398,7 @@ def _facet_volumes(P: LatticePolytope) -> dict:
     sublattice of Z^(m-1) of index |a_i|, because gcd(a) = 1.
     """
     m = P.dim
-    simplices = _pulling_triangulation(_face_lattice(P))
+    simplices = _pulling_triangulation(lattice)
     vols = {}
     for a, _, idx in P.coord_facets:
         i = next(i for i, x in enumerate(a) if x)
@@ -428,7 +434,12 @@ def minkowski_facet_check(P: LatticePolytope) -> list:
     """
     if P.dim < 1:
         raise ValueError("facet check needs dim >= 1")
-    vols = _facet_volumes(P)
+    return _minkowski_violations(P, _face_lattice(P))
+
+
+def _minkowski_violations(P: LatticePolytope, lattice: dict) -> list:
+    """``minkowski_facet_check`` on the face lattice of P; empty for a point."""
+    vols = _facet_volumes(P, lattice)
     return [
         Face(tuple(sorted(idx)), P.dim - 1)
         for a, _, idx in P.coord_facets
@@ -447,13 +458,13 @@ def is_zonotope(P: LatticePolytope) -> tuple:
     itself must be centrally symmetric; in dimension >= 3 every 2-face
     must be.  On failure the witness is a non-symmetric 2-face.
     """
-    m = P.dim
-    if m <= 1:
-        return True, None
-    if m == 2:
-        whole = Face(tuple(range(len(P.vertices))), 2)
-        return (True, None) if is_centrally_symmetric(P) is not None else (False, whole)
-    for f in faces_of_dim(P, 2):
+    return _is_zonotope(P, _face_lattice(P))
+
+
+def _is_zonotope(P: LatticePolytope, lattice: dict) -> tuple:
+    """``is_zonotope`` on the face lattice of P.  Below dimension 2 the
+    lattice has no 2-face; in dimension 2 its only 2-face is P."""
+    for f in _faces(lattice, 2):
         if _symmetry_center([P.vertices[i] for i in f.vertex_indices]) is None:
             return False, f
     return True, None

@@ -184,12 +184,17 @@ class TestExitCodes:
             (["count", "--dilate", "1"], {"corpus": "cube", "params": {"dim": 0}}),
             (["count", "--dilate", "1"], {"corpus": "cube", "params": {"dim": -1}}),
             (["count", "--dilate", "1"], {"corpus": "cube", "params": {"dim": True}}),
+            (["classify", "--witness", "--budget", "-1"], {"corpus": "counterexample_pn", "params": {"n": 8}}),
         ],
     )
     def test_bad_input_exits_2(self, tmp_path, capsys, argv, doc):
         if doc is not None:
             argv = argv + ["--input", write_doc(tmp_path, doc)]
-        assert main(argv) == 2
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses a bad option value itself
+            code = exc.code
+        assert code == 2
         assert capsys.readouterr().out == ""
 
     def test_alcove_by_name_parameter(self, tmp_path, capsys):

@@ -213,11 +213,14 @@ class TestFaceLattice:
                 assert faces_of_dim(P, j) == faces[j], (P, j)
             assert (is_centrally_symmetric(P) is not None) == brute_symmetric(P.vertices), P
             assert is_zonotope(P) == brute_is_zonotope(P, faces), P
+            report = classify(P)
+            assert (report["zonotope"], report["non_symmetric_2face"]) == brute_is_zonotope(P, faces), P
             if m == 0:
                 assert relative_volume(P) == 1
+                assert report["minkowski_violations"] == []
             else:
                 vols = {a: brute_relvol([P.vertices[i] for i in idx]) for a, _, idx in P.coord_facets}
-                assert geometry._facet_volumes(P) == vols, P
+                assert geometry._facet_volumes(P, geometry._face_lattice(P)) == vols, P
                 # the top level of brute_relvol, on the facet volumes above
                 x0 = P.coords[0]
                 pyramids = sum(vols[a] * (b - dot(a, x0)) for a, b, _ in P.coord_facets) / m
@@ -228,6 +231,7 @@ class TestFaceLattice:
                     if vols.get(tuple(-x for x in a)) != vols[a]
                 ]
                 assert minkowski_facet_check(P) == unpaired, P
+                assert report["minkowski_violations"] == unpaired, P
 
     def test_keeps_nothing_on_the_polytope(self):
         # a caller may keep every polytope, so the face lattice and the
