@@ -27,7 +27,6 @@ from .geometry import (
     _is_zonotope,
     _minkowski_violations,
     is_centrally_symmetric,
-    minkowski_facet_check,
 )
 from .linalg import lcm_denominators, vec_neg, vec_scale, vec_sub
 
@@ -69,9 +68,7 @@ def _facet_direction_candidates(P: LatticePolytope):
     When the facet pairing fails, translating along the offending facet
     is where asymmetric behaviour is expected first.  A point has no
     facets and yields none."""
-    if P.dim < 1:
-        return
-    for face in minkowski_facet_check(P):
+    for face in _minkowski_violations(P, _face_lattice(P)):
         verts = [P.vertices[i] for i in face.vertex_indices]
         for v in verts[1:]:
             u = vec_sub(v, verts[0])

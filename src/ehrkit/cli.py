@@ -268,6 +268,8 @@ def cmd_check(args) -> int:
 
 def cmd_classify(args) -> int:
     kind, payload = interpret(load_document(args))
+    if args.budget < 0:
+        raise ParseError("--budget must be non-negative")
     A = _lattice_input(kind, payload)
     report = classify(A.base, witness=args.witness, budget=args.budget)
     out = {
@@ -515,13 +517,6 @@ def cmd_reproduce(args) -> int:
 # argument parsing
 
 
-def _budget(text: str) -> int:
-    n = int(text)
-    if n < 0:
-        raise argparse.ArgumentTypeError(f"budget must be >= 0, got {n}")
-    return n
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ehrkit",
@@ -553,7 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--witness", action="store_true", help="also search for violating translates")
     p.add_argument("--require-witness", action="store_true", help="exit 5 if a search exhausts its budget")
-    p.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET, metavar="N", help="attempts per search, N >= 0")
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, metavar="N", help="attempts per search, N >= 0")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("scan", help="counts of x*c + P over rational samples x")

@@ -190,11 +190,7 @@ class TestExitCodes:
     def test_bad_input_exits_2(self, tmp_path, capsys, argv, doc):
         if doc is not None:
             argv = argv + ["--input", write_doc(tmp_path, doc)]
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse refuses a bad option value itself
-            code = exc.code
-        assert code == 2
+        assert main(argv) == 2
         assert capsys.readouterr().out == ""
 
     def test_alcove_by_name_parameter(self, tmp_path, capsys):
