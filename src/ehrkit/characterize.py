@@ -14,10 +14,9 @@ searches or on the polytope.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterable
 from fractions import Fraction
 from itertools import chain, count as icount, product
-from typing import Iterable, Optional
 
 from .counting import ehrhart_quasi, translated_enumerator
 from .geometry import (
@@ -28,13 +27,12 @@ from .geometry import (
     _minkowski_violations,
     is_centrally_symmetric,
 )
-from .linalg import lcm_denominators, vec_neg, vec_scale, vec_sub
+from .linalg import Record, lcm_denominators, vec_neg, vec_scale, vec_sub
 
 DEFAULT_BUDGET = 10000
 
 
-@dataclass(frozen=True)
-class WitnessReport:
+class WitnessReport(Record):
     """Outcome of a witness search.
 
     When found, ``constituents[i]`` is the residue ``residues[i]``
@@ -42,13 +40,25 @@ class WitnessReport:
     differ while their residues lie in the same symmetry or gcd class.
     """
 
-    kind: str  # "asymmetry" | "gcd_violation"
-    found: bool
-    translate: Optional[tuple]
-    residues: Optional[tuple]
-    constituents: Optional[tuple]
-    attempts: int
-    budget_exhausted: bool
+    __slots__ = ("kind", "found", "translate", "residues", "constituents", "attempts", "budget_exhausted")
+
+    def __init__(
+        self,
+        kind: str,  # "asymmetry" | "gcd_violation"
+        found: bool,
+        translate: tuple | None,
+        residues: tuple | None,
+        constituents: tuple | None,
+        attempts: int,
+        budget_exhausted: bool,
+    ):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "found", found)
+        object.__setattr__(self, "translate", translate)
+        object.__setattr__(self, "residues", residues)
+        object.__setattr__(self, "constituents", constituents)
+        object.__setattr__(self, "attempts", attempts)
+        object.__setattr__(self, "budget_exhausted", budget_exhausted)
 
 
 def _reduce_mod_one(v) -> tuple:

@@ -9,12 +9,11 @@ with a ``disputed`` flag and reported as such, never silently adopted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
 
 from .counting import count_points
 from .geometry import AlmostIntegralPolytope, LatticePolytope
+from .linalg import Record
 
 
 class UnknownName(KeyError):
@@ -36,8 +35,7 @@ ALCOVE_WEIGHTS = {
 ALCOVE_PERIODS = {"E6": 6, "E7": 12, "E8": 60, "F4": 12, "G2": 6}
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
+class CorpusEntry(Record):
     """A named polytope plus the quantities the suite re-derives for it.
 
     ``kind`` selects the computation path: almost_integral (vertex
@@ -45,13 +43,25 @@ class CorpusEntry:
     weighted_simplex (weights only).
     """
 
-    name: str
-    kind: str
-    parameters: dict = field(default_factory=dict)
-    polytope: Optional[AlmostIntegralPolytope] = None
-    rational_vertices: Optional[tuple] = None
-    weights: Optional[tuple] = None
-    expected: dict = field(default_factory=dict)
+    __slots__ = ("name", "kind", "parameters", "polytope", "rational_vertices", "weights", "expected")
+
+    def __init__(
+        self,
+        name: str,
+        kind: str,
+        parameters: dict | None = None,
+        polytope: AlmostIntegralPolytope | None = None,
+        rational_vertices: tuple | None = None,
+        weights: tuple | None = None,
+        expected: dict | None = None,
+    ):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "parameters", {} if parameters is None else parameters)
+        object.__setattr__(self, "polytope", polytope)
+        object.__setattr__(self, "rational_vertices", rational_vertices)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "expected", {} if expected is None else expected)
 
 
 def _unit_cube(d: int = 3) -> LatticePolytope:

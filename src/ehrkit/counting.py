@@ -11,9 +11,9 @@ Barvinok-style asymptotics.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import product
-from typing import Sequence
 
 from .geometry import AlmostIntegralPolytope, LatticePolytope, affine_hull
 from .linalg import (

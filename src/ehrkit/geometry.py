@@ -13,14 +13,14 @@ integer determinants.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence
 
 from .linalg import (
     DimensionMismatch,
     IntMatrix,
+    Record,
     det,
     dot,
     kernel_basis,
@@ -32,8 +32,7 @@ from .linalg import (
 )
 
 
-@dataclass(frozen=True)
-class AffineHull:
+class AffineHull(Record):
     """Affine hull of a lattice polytope.
 
     ``lattice_basis`` is an integer basis of aff_0(P) ∩ Z^d, so every
@@ -41,28 +40,35 @@ class AffineHull:
     combination of the basis.
     """
 
-    dim: int
-    origin: tuple
-    lattice_basis: tuple
+    __slots__ = ("dim", "origin", "lattice_basis")
+
+    def __init__(self, dim: int, origin: tuple, lattice_basis: tuple):
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "origin", origin)
+        object.__setattr__(self, "lattice_basis", lattice_basis)
 
 
-@dataclass(frozen=True)
-class Face:
-    vertex_indices: tuple
-    dim: int
+class Face(Record):
+    __slots__ = ("vertex_indices", "dim")
+
+    def __init__(self, vertex_indices: tuple, dim: int):
+        object.__setattr__(self, "vertex_indices", vertex_indices)
+        object.__setattr__(self, "dim", dim)
 
 
-@dataclass(frozen=True)
-class HRep:
+class HRep(Record):
     """Facet description: a·x <= b inequalities plus a·x = b equalities
     cutting out the affine hull when the polytope is lower dimensional.
     Normals are primitive integer vectors; the lists are sorted for
     reproducibility.
     """
 
-    ambient_dim: int
-    inequalities: tuple
-    equalities: tuple
+    __slots__ = ("ambient_dim", "inequalities", "equalities")
+
+    def __init__(self, ambient_dim: int, inequalities: tuple, equalities: tuple):
+        object.__setattr__(self, "ambient_dim", ambient_dim)
+        object.__setattr__(self, "inequalities", inequalities)
+        object.__setattr__(self, "equalities", equalities)
 
 
 def _lattice_coords(points: Sequence) -> tuple:
@@ -86,7 +92,7 @@ def _lattice_coords(points: Sequence) -> tuple:
     return m, origin, basis, coords
 
 
-def _hyperplane_normal(diffs: Sequence, m: int) -> Optional[tuple]:
+def _hyperplane_normal(diffs: Sequence, m: int) -> tuple | None:
     """Primitive integer normal of the hyperplane spanned by ``diffs`` in
     R^m, or None if they do not span a hyperplane."""
     ker = kernel_basis(diffs, m)
@@ -407,7 +413,7 @@ def _facet_volumes(P: LatticePolytope, lattice: dict) -> dict:
     return vols
 
 
-def _symmetry_center(points: Sequence) -> Optional[tuple]:
+def _symmetry_center(points: Sequence) -> tuple | None:
     """The vector c with {c - p} = {p} over the distinct integer ``points``,
     if one exists, else None.
 
@@ -422,7 +428,7 @@ def _symmetry_center(points: Sequence) -> Optional[tuple]:
     return c if reflected == point_set else None
 
 
-def is_centrally_symmetric(P: LatticePolytope) -> Optional[tuple]:
+def is_centrally_symmetric(P: LatticePolytope) -> tuple | None:
     """The vector c with P = c + (-P) if one exists, else None."""
     return _symmetry_center(P.vertices)
 
@@ -447,10 +453,6 @@ def _minkowski_violations(P: LatticePolytope, lattice: dict) -> list:
     ]
 
 
-def face_polytope(P: LatticePolytope, face: Face) -> LatticePolytope:
-    return LatticePolytope([P.vertices[i] for i in face.vertex_indices])
-
-
 def is_zonotope(P: LatticePolytope) -> tuple:
     """(verdict, witness): zonotope test via central symmetry of 2-faces.
 
@@ -470,12 +472,10 @@ def _is_zonotope(P: LatticePolytope, lattice: dict) -> tuple:
     return True, None
 
 
-@dataclass(frozen=True)
-class AlmostIntegralPolytope:
+class AlmostIntegralPolytope(Record):
     """A lattice polytope translated by a rational vector."""
 
-    base: LatticePolytope
-    translate: tuple
+    __slots__ = ("base", "translate")
 
     def __init__(self, base: LatticePolytope, translate: Sequence):
         t = tuple(Fraction(x) for x in translate)

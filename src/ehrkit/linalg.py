@@ -8,9 +8,8 @@ package, so every comparison downstream is a true equality test.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Optional, Sequence
 
 
 class RankDeficient(ValueError):
@@ -19,6 +18,58 @@ class RankDeficient(ValueError):
 
 class DimensionMismatch(ValueError):
     """Raised when vector/matrix dimensions are incompatible."""
+
+
+class Record:
+    """Base of the package's immutable value types.
+
+    A subclass names its fields in ``__slots__`` and sets each one in its
+    own ``__init__`` with ``object.__setattr__``.  ``==``, ``hash``,
+    ``repr``, pickling and copying go by those fields in that order, as
+    ``@dataclass(frozen=True)`` would give them: instances are equal only
+    to instances of the same class with equal fields, the hash is that of
+    the tuple of fields, and assigning or deleting a field raises
+    ``AttributeError``.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # Compiled once per class: straight-line field loads are as fast as
+        # the code a dataclass generates, while a loop over the fields or an
+        # ``attrgetter`` made ``Face ==`` 1.7-6x slower.
+        mine = "".join(f"self.{f}," for f in cls.__slots__)
+        theirs = "".join(f"other.{f}," for f in cls.__slots__)
+        namespace = {}
+        exec(
+            "def __eq__(self, other):\n"
+            "    if other.__class__ is self.__class__:\n"
+            f"        return ({mine}) == ({theirs})\n"
+            "    return NotImplemented\n"
+            "def __hash__(self):\n"
+            f"    return hash(({mine}))\n",
+            namespace,
+        )
+        cls.__eq__ = namespace["__eq__"]
+        cls.__hash__ = namespace["__hash__"]
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __getstate__(self):
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    def __setstate__(self, state):
+        for f, value in zip(self.__slots__, state):
+            object.__setattr__(self, f, value)
 
 
 # ---------------------------------------------------------------------------
@@ -78,20 +129,17 @@ def primitive_vector(v, canonical_sign: bool = False) -> tuple:
 # matrices
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(Record):
     """Dense integer matrix, entries stored row-major."""
 
-    rows: int
-    cols: int
-    entries: tuple
+    __slots__ = ("rows", "cols", "entries")
 
-    def __post_init__(self):
-        if len(self.entries) != self.rows * self.cols:
-            raise DimensionMismatch(
-                f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} "
-                f"entries, got {len(self.entries)}"
-            )
+    def __init__(self, rows: int, cols: int, entries: tuple):
+        if len(entries) != rows * cols:
+            raise DimensionMismatch(f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "entries", entries)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntMatrix":
@@ -103,7 +151,7 @@ class IntMatrix:
         return cls(n, m, tuple(x for r in rows for x in r))
 
     @classmethod
-    def from_columns(cls, columns: Sequence[Sequence[int]], nrows: Optional[int] = None) -> "IntMatrix":
+    def from_columns(cls, columns: Sequence[Sequence[int]], nrows: int | None = None) -> "IntMatrix":
         columns = [tuple(int(x) for x in c) for c in columns]
         if columns:
             n = len(columns[0])
@@ -261,18 +309,20 @@ def det(rows: Sequence[Sequence[int]]) -> int:
 # Smith normal form
 
 
-@dataclass(frozen=True)
-class SnfDecomposition:
+class SnfDecomposition(Record):
     """U @ W @ V = D with U, V unimodular and D diagonal with d_1 | d_2 | ...
 
     ``U_inverse`` is carried along because lattice-basis extraction needs
     it and it falls out of the elimination for free.
     """
 
-    U: IntMatrix
-    D: IntMatrix
-    V: IntMatrix
-    U_inverse: IntMatrix
+    __slots__ = ("U", "D", "V", "U_inverse")
+
+    def __init__(self, U: IntMatrix, D: IntMatrix, V: IntMatrix, U_inverse: IntMatrix):
+        object.__setattr__(self, "U", U)
+        object.__setattr__(self, "D", D)
+        object.__setattr__(self, "V", V)
+        object.__setattr__(self, "U_inverse", U_inverse)
 
     @property
     def invariant_factors(self) -> tuple:
@@ -412,7 +462,7 @@ def affine_lattice_nonempty(W: IntMatrix, v: Sequence) -> bool:
     return all(y[i].denominator == 1 for i in range(dec.rank, W.rows))
 
 
-def integer_point_in_translated_span(W: IntMatrix, v: Sequence) -> Optional[tuple]:
+def integer_point_in_translated_span(W: IntMatrix, v: Sequence) -> tuple | None:
     """An integer point of ``v + span_Q(columns of W)``, or None if empty."""
     if len(v) != W.rows:
         raise DimensionMismatch("vector length does not match matrix row count")

@@ -5,9 +5,10 @@ checks (symmetry, gcd-determined constituents, minimal period).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Sequence
+
+from .linalg import Record
 
 # Small integral coefficients are shared: most constituents of counting
 # results have a handful of such coefficients, and one Fraction each would
@@ -23,15 +24,14 @@ def _coefficient(c) -> Fraction:
     return f
 
 
-@dataclass(frozen=True, slots=True)
-class Polynomial:
+class Polynomial(Record):
     """Polynomial with rational coefficients, ascending degree.
 
     Canonical form: no trailing zero coefficients; the zero polynomial is
     the empty tuple.  Equality is exact coefficient equality.
     """
 
-    coefficients: tuple
+    __slots__ = ("coefficients",)
 
     def __init__(self, coefficients: Iterable = ()):
         coeffs = [_coefficient(c) for c in coefficients]
@@ -74,26 +74,30 @@ class Polynomial:
 
     @classmethod
     def interpolate(cls, samples: Sequence) -> "Polynomial":
-        """Lagrange interpolation through ``(t, value)`` pairs, exact over Q."""
-        pts = [(Fraction(t), Fraction(v)) for t, v in samples]
-        n = len(pts)
-        coeffs = [Fraction(0)] * n
-        for i, (ti, vi) in enumerate(pts):
-            # basis polynomial prod_{j != i} (x - t_j) / (t_i - t_j)
-            basis = [Fraction(1)]
-            denom = Fraction(1)
-            for j, (tj, _) in enumerate(pts):
-                if j == i:
-                    continue
-                denom *= ti - tj
-                nxt = [Fraction(0)] * (len(basis) + 1)
-                for k, b in enumerate(basis):
-                    nxt[k + 1] += b
-                    nxt[k] -= tj * b
-                basis = nxt
-            w = vi / denom
-            for k, b in enumerate(basis):
-                coeffs[k] += w * b
+        """The polynomial of degree < n through n ``(t, value)`` pairs with
+        distinct nodes t, exact over Q.
+
+        Newton divided differences give the form
+        d_0 + d_1 (t - t_0) + ... + d_{n-1} (t - t_0)...(t - t_{n-2}),
+        which Horner's rule expands to monomial coefficients; both steps
+        take O(n^2) operations.
+        """
+        ts, d = [], []
+        for t, v in samples:
+            ts.append(Fraction(t))
+            d.append(Fraction(v))
+        n = len(d)
+        for j in range(1, n):
+            for i in range(n - 1, j - 1, -1):
+                d[i] = (d[i] - d[i - 1]) / (ts[i] - ts[i - j])
+        coeffs = d[-1:]
+        for k in range(n - 2, -1, -1):
+            # coeffs := coeffs * (t - t_k) + d_k, in place from the top down
+            tk = ts[k]
+            coeffs.append(coeffs[-1])
+            for m in range(len(coeffs) - 2, 0, -1):
+                coeffs[m] = coeffs[m - 1] - tk * coeffs[m]
+            coeffs[0] = d[k] - tk * coeffs[0]
         return cls(coeffs)
 
 
@@ -101,12 +105,7 @@ def polynomial_to_strings(p: Polynomial) -> list:
     return [str(c) for c in p.coefficients]
 
 
-def polynomial_from_strings(items: Sequence) -> Polynomial:
-    return Polynomial(Fraction(s) for s in items)
-
-
-@dataclass(frozen=True, slots=True)
-class QuasiPolynomial:
+class QuasiPolynomial(Record):
     """Quasi-polynomial with period rho and constituents f_1, ..., f_rho.
 
     ``constituents[k-1]`` governs arguments congruent to k mod rho; the
@@ -114,8 +113,7 @@ class QuasiPolynomial:
     Equal constituents are stored as one object.
     """
 
-    period: int
-    constituents: tuple
+    __slots__ = ("period", "constituents")
 
     def __init__(self, period: int, constituents: Iterable):
         distinct = {}
@@ -180,23 +178,8 @@ def inflate_period(q: QuasiPolynomial, k: int) -> QuasiPolynomial:
     return QuasiPolynomial(k * q.period, tuple(q.constituent(i) for i in range(1, k * q.period + 1)))
 
 
-def gcd_property_period_stability(q: QuasiPolynomial, k: int) -> bool:
-    """gcd-property verdict after inflating the period by k.
-
-    Must agree with ``has_gcd_property(q)``; used as a consistency harness.
-    """
-    return has_gcd_property(inflate_period(q, k))
-
-
 def quasi_to_json_dict(q: QuasiPolynomial) -> dict:
     return {
         "period": q.period,
         "constituents": [polynomial_to_strings(c) for c in q.constituents],
     }
-
-
-def quasi_from_json_dict(doc: dict) -> QuasiPolynomial:
-    return QuasiPolynomial(
-        int(doc["period"]),
-        tuple(polynomial_from_strings(c) for c in doc["constituents"]),
-    )

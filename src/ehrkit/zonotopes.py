@@ -6,15 +6,15 @@ vertex form for cross-checks against direct counting.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from .counting import count_points
 from .geometry import AlmostIntegralPolytope, LatticePolytope
 from .linalg import (
     DimensionMismatch,
     IntMatrix,
+    Record,
     is_integer_vector,
     lcm_denominators,
     rational_rank,
@@ -30,15 +30,12 @@ class TooManyGenerators(ValueError):
     """Subset/sign enumeration rejected beyond the generator guard."""
 
 
-@dataclass(frozen=True)
-class ZonotopeSpec:
+class ZonotopeSpec(Record):
     """Minkowski sum of segments [0, u_i], translated by a rational c.
 
     Duplicate generators are legal (the generator list is a multiset)."""
 
-    ambient_dim: int
-    generators: tuple
-    translate: tuple
+    __slots__ = ("ambient_dim", "generators", "translate")
 
     def __init__(self, generators: Sequence, translate: Sequence = None, ambient_dim: int = None):
         gens = [tuple(int(x) for x in g) for g in generators]

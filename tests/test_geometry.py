@@ -14,7 +14,6 @@ from ehrkit.geometry import (
     Face,
     LatticePolytope,
     affine_hull,
-    face_polytope,
     faces_of_dim,
     hrep,
     is_centrally_symmetric,
@@ -30,6 +29,10 @@ OCTA = LatticePolytope([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1),
 PENTAGON = LatticePolytope([(1, 0), (0, 1), (0, 2), (1, 3), (2, 1)])
 SIMPLEX2 = LatticePolytope([(0, 0), (1, 0), (0, 1)])
 HEXAGON = LatticePolytope([(0, 0), (1, 0), (2, 1), (2, 2), (1, 2), (0, 1)])
+
+
+def face_polytope(P, face):
+    return LatticePolytope([P.vertices[i] for i in face.vertex_indices])
 
 
 def _det(rows):

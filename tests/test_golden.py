@@ -26,6 +26,9 @@ RUNS = [
     (f"check_{prop}_{name}", ["check", "--property", prop], {"corpus": name})
     for name in ("p1_ninth_cube", "p2_shifted_octahedron")
     for prop in ("sym", "gcd")
+] + [
+    ("ehrhart_alcove_e8", ["ehrhart", "--minimal"], {"corpus": "alcove", "params": {"type": "E8"}}),
+    ("ehrhart_p1_ninth_cube", ["ehrhart", "--minimal"], {"corpus": "p1_ninth_cube"}),
 ]
 
 

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,19 +7,55 @@ from ehrkit.qpoly import (
     Polynomial,
     QuasiPolynomial,
     evaluate,
-    gcd_property_period_stability,
     has_gcd_property,
     inflate_period,
     is_symmetric,
     minimal_period,
-    polynomial_from_strings,
     polynomial_to_strings,
-    quasi_from_json_dict,
     quasi_to_json_dict,
 )
 
 
 def poly(*coeffs):
+    return Polynomial(coeffs)
+
+
+def polynomial_from_strings(items):
+    return Polynomial(Fraction(s) for s in items)
+
+
+def quasi_from_json_dict(doc):
+    return QuasiPolynomial(int(doc["period"]), tuple(polynomial_from_strings(c) for c in doc["constituents"]))
+
+
+def gcd_property_period_stability(q, k):
+    """gcd-property verdict after inflating the period by k; must agree
+    with ``has_gcd_property(q)``."""
+    return has_gcd_property(inflate_period(q, k))
+
+
+def brute_interpolate(samples):
+    """Lagrange interpolation through ``(t, value)`` pairs, exact over Q:
+    the O(n^3) oracle for ``Polynomial.interpolate``."""
+    pts = [(Fraction(t), Fraction(v)) for t, v in samples]
+    n = len(pts)
+    coeffs = [Fraction(0)] * n
+    for i, (ti, vi) in enumerate(pts):
+        # basis polynomial prod_{j != i} (x - t_j) / (t_i - t_j)
+        basis = [Fraction(1)]
+        denom = Fraction(1)
+        for j, (tj, _) in enumerate(pts):
+            if j == i:
+                continue
+            denom *= ti - tj
+            nxt = [Fraction(0)] * (len(basis) + 1)
+            for k, b in enumerate(basis):
+                nxt[k + 1] += b
+                nxt[k] -= tj * b
+            basis = nxt
+        w = vi / denom
+        for k, b in enumerate(basis):
+            coeffs[k] += w * b
     return Polynomial(coeffs)
 
 
@@ -43,6 +80,38 @@ class TestPolynomial:
     def test_interpolate_rational_nodes(self):
         p = Polynomial.interpolate([(Fraction(1, 2), 1), (Fraction(3, 2), 3)])
         assert p == poly(0, 2)
+
+    def test_interpolate_matches_lagrange_oracle(self):
+        rng = random.Random(16)
+
+        def rational():
+            return Fraction(rng.randint(-40, 40), rng.randint(1, 12))
+
+        for trial in range(300):
+            n = trial % 11
+            if trial % 3 == 0:  # arithmetic progression, any sign of step
+                start, step = rational(), rational() or Fraction(1)
+                nodes = [start + i * step for i in range(n)]
+            elif trial % 3 == 1:  # k, k + rho, ... as the counting module samples
+                k, rho = rng.randint(-5, 5), rng.randint(1, 9)
+                nodes = list(range(k, k + n * rho, rho))
+            else:
+                nodes = []
+                while len(nodes) < n:
+                    t = rational()
+                    if t not in nodes:
+                        nodes.append(t)
+            samples = [(t, rational()) for t in nodes]
+            expected = brute_interpolate(samples)
+            got = Polynomial.interpolate(iter(samples))
+            assert got.coefficients == expected.coefficients
+            assert all(got(t) == v for t, v in samples)
+
+    def test_interpolate_repeated_node(self):
+        samples = [(1, 2), (Fraction(2), 3), (1, 2)]
+        for fit in (Polynomial.interpolate, brute_interpolate):
+            with pytest.raises(ZeroDivisionError):
+                fit(samples)
 
     def test_string_round_trip(self):
         p = poly(Fraction(-4, 3), 0, Fraction(4, 3))
