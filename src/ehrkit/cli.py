@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import re
 import sys
 from fractions import Fraction
@@ -44,11 +43,13 @@ from .linalg import DimensionMismatch, is_integer_vector
 from .qpoly import (
     Polynomial,
     QuasiPolynomial,
+    gcd_violation,
     has_gcd_property,
     is_symmetric,
     minimal_period,
     polynomial_to_strings,
     quasi_to_json_dict,
+    symmetry_violation,
 )
 from .zonotopes import TooManyGenerators, ZonotopeSpec, abm_quasi
 
@@ -235,24 +236,8 @@ def cmd_ehrhart(args) -> int:
 def cmd_check(args) -> int:
     kind, payload = interpret(load_document(args))
     q = _quasi_for(kind, payload)
-    rho = q.period
-    if args.property == "sym":
-        holds = is_symmetric(q)
-        evidence = None
-        if not holds:
-            k = next(k for k in range(rho + 1) if q.constituent(k) != q.constituent(rho - k))
-            evidence = (k % rho, (rho - k) % rho)
-    else:
-        holds = has_gcd_property(q)
-        evidence = None
-        if not holds:
-            evidence = next(
-                (k, l)
-                for k in range(1, rho + 1)
-                for l in range(k + 1, rho + 1)
-                if math.gcd(rho, k) == math.gcd(rho, l) and q.constituent(k) != q.constituent(l)
-            )
-    out = {"holds": holds, "property": args.property}
+    evidence = symmetry_violation(q) if args.property == "sym" else gcd_violation(q)
+    out = {"holds": evidence is None, "property": args.property}
     if evidence is not None:
         k, l = evidence
         out["evidence"] = {

@@ -142,7 +142,6 @@ def build(name: str, /, **params) -> CorpusEntry:
             "almost_integral",
             {"dim": d},
             polytope=AlmostIntegralPolytope(_unit_cube(d), (0,) * d),
-            expected={"zonotope": True, "centrally_symmetric": True},
         )
     if name == "cross_polytope":
         d = _int_param(params, "dim", 3)
@@ -151,7 +150,6 @@ def build(name: str, /, **params) -> CorpusEntry:
             "almost_integral",
             {"dim": d},
             polytope=AlmostIntegralPolytope(_cross_polytope(d), (0,) * d),
-            expected={"zonotope": False, "centrally_symmetric": True},
         )
     if name == "pentagon_s3":
         return CorpusEntry(
@@ -173,20 +171,10 @@ def build(name: str, /, **params) -> CorpusEntry:
         ninth = tuple(
             tuple(Fraction(x, 9) for x in corner) for corner in _unit_cube(3).vertices
         )
-        return CorpusEntry(
-            name,
-            "rational",
-            rational_vertices=ninth,
-            expected={"minimal_period": 9, "symmetric": False, "gcd_property": False},
-        )
+        return CorpusEntry(name, "rational", rational_vertices=ninth)
     if name == "p2_shifted_octahedron":
         c = (Fraction(5, 9), Fraction(5, 9), Fraction(2, 3))
-        return CorpusEntry(
-            name,
-            "almost_integral",
-            polytope=AlmostIntegralPolytope(_cross_polytope(3), c),
-            expected={"minimal_period": 9, "symmetric": True, "gcd_property": False},
-        )
+        return CorpusEntry(name, "almost_integral", polytope=AlmostIntegralPolytope(_cross_polytope(3), c))
     if name == "p3_shifted_cube":
         c = (Fraction(1, 9), Fraction(2, 9), Fraction(1, 3))
         return CorpusEntry(
@@ -194,9 +182,6 @@ def build(name: str, /, **params) -> CorpusEntry:
             "almost_integral",
             polytope=AlmostIntegralPolytope(_unit_cube(3), c),
             expected={
-                "minimal_period": 9,
-                "symmetric": True,
-                "gcd_property": True,
                 # residues 3 and 6: direct enumeration gives t^3 + t^2,
                 # while a published table lists t^3 + t; flagged, not chosen
                 "disputed_constituent": {
@@ -213,7 +198,6 @@ def build(name: str, /, **params) -> CorpusEntry:
             "almost_integral",
             {"n": n},
             polytope=AlmostIntegralPolytope(counterexample_polytope(n), (0, 0, 0)),
-            expected={"centrally_symmetric": False},
         )
     if name == "alcove":
         which = params.get("type") or params.get("name")
@@ -224,7 +208,6 @@ def build(name: str, /, **params) -> CorpusEntry:
             "weighted_simplex",
             {"type": which},
             weights=ALCOVE_WEIGHTS[which],
-            expected={"minimal_period": ALCOVE_PERIODS[which], "gcd_property": True},
         )
     raise UnknownName(name)
 

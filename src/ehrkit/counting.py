@@ -4,8 +4,10 @@ interpolation, and the weighted-simplex counter.
 
 Counting is enumeration over an integer bounding box, sliced along the
 last coordinate so the inner work per slab is a handful of integer
-comparisons.  That is the right tool at desk scale; nothing here aims at
-Barvinok-style asymptotics.
+comparisons.  A lower-dimensional polytope is counted the same way in the
+lattice coordinates of its affine hull, which the polytope computes once
+at construction.  That is the right tool at desk scale; nothing here aims
+at Barvinok-style asymptotics.
 """
 
 from __future__ import annotations
@@ -15,19 +17,8 @@ from collections.abc import Sequence
 from fractions import Fraction
 from itertools import product
 
-from .geometry import AlmostIntegralPolytope, LatticePolytope, affine_hull
-from .linalg import (
-    DimensionMismatch,
-    IntMatrix,
-    dot,
-    integer_point_in_translated_span,
-    is_integer_vector,
-    lcm_denominators,
-    solve_columns,
-    vec_add,
-    vec_scale,
-    vec_sub,
-)
+from .geometry import AlmostIntegralPolytope, LatticePolytope
+from .linalg import DimensionMismatch, dot, is_integer_vector, lcm_denominators, vec_add, vec_scale
 from .qpoly import Polynomial, QuasiPolynomial
 
 
@@ -39,16 +30,18 @@ class InterpolationGuardFailed(RuntimeError):
     """
 
 
-def _count_fulldim(P: LatticePolytope, c, t) -> int:
-    """Count integer points of c + tP for full-dimensional P.
+def _count(inequalities, vertices, c, t) -> int:
+    """Count integer points x with a·(x - c) <= t b for every (a, b) in
+    ``inequalities``: the points of c + tQ, where Q = conv(``vertices``)
+    is full-dimensional and cut out by those inequalities.
 
     ``t`` may be a positive Fraction (used by the rational-dilation
     path); the inequality bounds are floored to integers up front so the
     enumeration loop is pure integer arithmetic.
     """
-    d = P.ambient_dim
-    bounds = [(a, math.floor(t * b + dot(a, c))) for a, b in P.hrep.inequalities]
-    pts = [vec_add(c, vec_scale(t, v)) for v in P.vertices]
+    d = len(c)
+    bounds = [(a, math.floor(t * b + dot(a, c))) for a, b in inequalities]
+    pts = [vec_add(c, vec_scale(t, v)) for v in vertices]
     lo = [math.ceil(min(p[i] for p in pts)) for i in range(d)]
     hi = [math.floor(max(p[i] for p in pts)) for i in range(d)]
     if any(l > h for l, h in zip(lo, hi)):
@@ -88,10 +81,11 @@ def _count_fulldim(P: LatticePolytope, c, t) -> int:
 def count_points(P: LatticePolytope, c: Sequence, t) -> int:
     """Exact #((c + tP) ∩ Z^d) for a non-negative rational dilation t.
 
-    Full-dimensional polytopes go through slab enumeration.  Lower
-    dimensional ones are reduced: if the translated affine hull misses
-    Z^d the count is 0, otherwise an integer point on it anchors a
-    change of coordinates and the count recurses in the hull dimension.
+    A full-dimensional P is counted by slabs against its facets.  For
+    dim P = m < d, the unimodular U of P's lattice coordinates maps Z^d
+    onto Z^d and c + t·aff(P) onto y + (R^m × {0}), y = U (c + t·origin).
+    So the count is 0 unless y[m:] is integral, and otherwise it is the
+    count of y[:m] + t·conv(P.coords) in Z^m, cut out by P.coord_facets.
     """
     d = P.ambient_dim
     if len(c) != d:
@@ -104,19 +98,14 @@ def count_points(P: LatticePolytope, c: Sequence, t) -> int:
         return 1 if is_integer_vector(c) else 0
     m = P.dim
     if m == d:
-        return _count_fulldim(P, c, t)
-    hull = affine_hull(P)
-    shift = vec_add(c, vec_scale(t, hull.origin))
-    if m == 0:
-        return 1 if is_integer_vector(shift) else 0
-    B = IntMatrix.from_columns(hull.lattice_basis, nrows=d)
-    z = integer_point_in_translated_span(B, shift)
-    if z is None:
+        return _count(P.hrep.inequalities, P.vertices, c, t)
+    _, origin, _, coords, U = P._hull_data
+    y = U.apply(vec_add(c, vec_scale(t, origin)))
+    if not is_integer_vector(y[m:]):
         return 0
-    # every integer point of c + tP is z + B w with integer w, and the
-    # membership condition becomes w in c~ + t * coord_polytope
-    ctilde = solve_columns(hull.lattice_basis, vec_sub(shift, z))
-    return count_points(P.coord_polytope, ctilde, t)
+    if m == 0:
+        return 1
+    return _count([(a, b) for a, b, _ in P.coord_facets], coords, y[:m], t)
 
 
 def _interpolate_guarded(count, ts) -> Polynomial:

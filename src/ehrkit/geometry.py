@@ -72,24 +72,24 @@ class HRep(Record):
 
 
 def _lattice_coords(points: Sequence) -> tuple:
-    """(dim, origin, basis, coords) for a list of integer points.
+    """(dim, origin, basis, coords, U) for a list of integer points.
 
     ``basis`` spans the lattice aff_0 ∩ Z^d (not merely the Z-span of the
     point differences), so ``coords`` are integer and surjective onto the
-    lattice points of the hull.
+    lattice points of the hull.  ``U`` is unimodular with
+    U (x - origin) = (w, 0) for every x = origin + sum w_j basis_j of the
+    affine hull, so it maps Z^d onto Z^d and the hull onto the first
+    ``dim`` coordinates.
     """
     origin = points[0]
     diffs = [vec_sub(p, origin) for p in points[1:]]
-    d = len(origin)
     if not diffs:
-        return 0, origin, (), [()] * len(points)
+        return 0, origin, (), [()] * len(points), IntMatrix.identity(len(origin))
     dec = snf(IntMatrix.from_columns(diffs))
     m = dec.rank
     basis = tuple(dec.U_inverse.column(j) for j in range(m))
-    # x in the lattice written as origin + sum w_j basis_j has w = first m
-    # coordinates of U (x - origin)
     coords = [tuple(dec.U.apply(vec_sub(p, origin))[:m]) for p in points]
-    return m, origin, basis, coords
+    return m, origin, basis, coords, dec.U
 
 
 def _hyperplane_normal(diffs: Sequence, m: int) -> tuple | None:
@@ -222,7 +222,7 @@ class LatticePolytope:
     def _extract_vertices(pts: list) -> list:
         if len(pts) == 1:
             return pts
-        m, _, _, coords = _lattice_coords(pts)
+        m, _, _, coords, _ = _lattice_coords(pts)
         if m == 0:
             return pts[:1]
         facets = _facets_from_points(coords, m)
@@ -252,13 +252,9 @@ class LatticePolytope:
 
     @cached_property
     def coords(self) -> tuple:
-        """Vertex coordinates in the affine-hull lattice basis (full-dim)."""
+        """Integer vertex coordinates in the lattice basis of the affine
+        hull; their convex hull is full-dimensional in Z^dim."""
         return tuple(self._hull_data[3])
-
-    @cached_property
-    def coord_polytope(self) -> "LatticePolytope":
-        """The polytope rewritten full-dimensionally in lattice coordinates."""
-        return LatticePolytope(self.coords)
 
     @cached_property
     def coord_facets(self) -> tuple:
@@ -301,7 +297,7 @@ class LatticePolytope:
 
 
 def affine_hull(P: LatticePolytope) -> AffineHull:
-    m, origin, basis, _ = P._hull_data
+    m, origin, basis, _, _ = P._hull_data
     return AffineHull(dim=m, origin=origin, lattice_basis=basis)
 
 

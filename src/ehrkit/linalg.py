@@ -460,16 +460,3 @@ def affine_lattice_nonempty(W: IntMatrix, v: Sequence) -> bool:
     dec = snf(W)
     y = dec.U.apply([Fraction(x) for x in v])
     return all(y[i].denominator == 1 for i in range(dec.rank, W.rows))
-
-
-def integer_point_in_translated_span(W: IntMatrix, v: Sequence) -> tuple | None:
-    """An integer point of ``v + span_Q(columns of W)``, or None if empty."""
-    if len(v) != W.rows:
-        raise DimensionMismatch("vector length does not match matrix row count")
-    dec = snf(W)
-    y = dec.U.apply([Fraction(x) for x in v])
-    r = dec.rank
-    if any(y[i].denominator != 1 for i in range(r, W.rows)):
-        return None
-    target = [0] * r + [int(y[i]) for i in range(r, W.rows)]
-    return tuple(int(x) for x in dec.U_inverse.apply(target))

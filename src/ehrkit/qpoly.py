@@ -153,22 +153,38 @@ def minimal_period(q: QuasiPolynomial) -> QuasiPolynomial:
     return q  # unreachable: p == period always matches
 
 
+def symmetry_violation(q: QuasiPolynomial) -> tuple | None:
+    """The first residue pair (k, rho - k) with f_k != f_{rho-k}, or None."""
+    rho = q.period
+    return next(((k, rho - k) for k in range(1, rho) if q.constituent(k) != q.constituent(rho - k)), None)
+
+
 def is_symmetric(q: QuasiPolynomial) -> bool:
     """f_k == f_{rho-k} for all residues (f_0 identified with f_rho)."""
+    return symmetry_violation(q) is None
+
+
+def gcd_violation(q: QuasiPolynomial) -> tuple | None:
+    """The lexicographically first residue pair k < l with gcd(rho, k) =
+    gcd(rho, l) and f_k != f_l, or None.
+
+    If (k, l) violates and some f with gcd(rho, f) = gcd(rho, k) precedes
+    k, then (f, k) or (f, l) violates too; so the first pair starts at the
+    first residue of its gcd class, and one pass finds it.
+    """
     rho = q.period
-    return all(q.constituent(k) == q.constituent(rho - k) for k in range(rho + 1))
+    first = {}
+    pairs = []
+    for l in range(1, rho + 1):
+        k = first.setdefault(math.gcd(rho, l), l)
+        if q.constituent(k) != q.constituent(l):
+            pairs.append((k, l))
+    return min(pairs, default=None)
 
 
 def has_gcd_property(q: QuasiPolynomial) -> bool:
     """Constituents constant on residue classes with equal gcd(rho, k)."""
-    rho = q.period
-    by_gcd = {}
-    for k in range(1, rho + 1):
-        g = math.gcd(rho, k)
-        ref = by_gcd.setdefault(g, q.constituent(k))
-        if q.constituent(k) != ref:
-            return False
-    return True
+    return gcd_violation(q) is None
 
 
 def inflate_period(q: QuasiPolynomial, k: int) -> QuasiPolynomial:

@@ -163,6 +163,28 @@ class TestCountPoints:
             c = tuple(Fraction(rng.randint(0, 4), rng.choice((1, 2, 3, 4))) for _ in range(d))
             for t in range(1, 5):
                 assert count_points(P, c, t) == brute_count(P, c, t)
+        # lower-dimensional slices through a lattice point, d <= 4, with
+        # negative translates, half of them along the slice so that its
+        # translates keep lattice points, and fractional dilations
+        ts = (Fraction(1, 3), Fraction(1, 2), 1, Fraction(3, 2), 2)
+        for _ in range(60):
+            d = rng.randint(2, 4)
+            m = rng.randint(1, d - 1)
+            base = tuple(rng.randint(-2, 2) for _ in range(d))
+            dirs = [tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(m)]
+            pts = [base]
+            for _ in range(4):
+                ks = [rng.randint(0, 1) for _ in dirs]
+                pts.append(vec_add(base, [sum(k * u[i] for k, u in zip(ks, dirs)) for i in range(d)]))
+            P = LatticePolytope(pts)
+            assert P.dim <= m < d
+            c = tuple(Fraction(rng.randint(-6, 2), rng.choice((1, 2, 3))) for _ in range(d))
+            if rng.random() < 0.5:
+                ws = [Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3))) for _ in dirs]
+                along = [sum(w * u[i] for w, u in zip(ws, dirs)) for i in range(d)]
+                c = vec_add(tuple(rng.randint(-3, 1) for _ in range(d)), along)
+            for t in ts:
+                assert count_points(P, c, t) == brute_count(P, c, t), (P, c, t)
 
 
 class TestTranslatedEnumerator:

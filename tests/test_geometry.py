@@ -8,7 +8,7 @@ import pytest
 
 from ehrkit import geometry
 from ehrkit.characterize import classify
-from ehrkit.counting import translated_enumerator
+from ehrkit.counting import count_points, ehrhart_quasi, translated_enumerator
 from ehrkit.geometry import (
     AlmostIntegralPolytope,
     Face,
@@ -84,7 +84,7 @@ def brute_relvol(points):
     With primitive facet normals the lattice height of the apex is
     |a·v0 - b|, so relvol = sum relvol(F) * height / m.
     """
-    m, _, _, coords = geometry._lattice_coords(points)
+    m, _, _, coords, _ = geometry._lattice_coords(points)
     if m == 0:
         return Fraction(1)
     v0 = coords[0]
@@ -238,11 +238,21 @@ class TestFaceLattice:
 
     def test_keeps_nothing_on_the_polytope(self):
         # a caller may keep every polytope, so the face lattice and the
-        # triangulation are rebuilt per call, never cached on the polytope
-        for P in (CUBE, OCTA, PENTAGON, LatticePolytope([(3, 1)]), LatticePolytope([(0, 0, 0), (1, 2, 0), (2, 1, 1)])):
+        # triangulation are rebuilt per call, never cached on the polytope;
+        # a lower-dimensional count reads only the lattice coordinates
+        lower = (
+            LatticePolytope([(3, 1)]),
+            LatticePolytope([(0, 0), (2, 4)]),
+            LatticePolytope([(0, 0, 0), (1, 2, 0), (2, 1, 1)]),
+        )
+        for P in (CUBE, OCTA, PENTAGON) + lower:
             P = LatticePolytope(P.vertices)
             classify(P)
             relative_volume(P)
+            if P.dim < P.ambient_dim:
+                c = (Fraction(1, 2),) * P.ambient_dim
+                count_points(P, c, 2)
+                ehrhart_quasi(AlmostIntegralPolytope(P, c))
             assert set(vars(P)) <= {"_hull_data", "coords", "coord_facets"}
 
 
@@ -386,7 +396,7 @@ class TestMinkowskiFacetCheck:
         for _ in range(20):
             d = rng.randint(1, 3)
             P = random_lattice_polytope(rng, d)
-            Q = P.coord_polytope if P.dim < P.ambient_dim else P
+            Q = LatticePolytope(P.coords) if P.dim < P.ambient_dim else P
             empty = minkowski_facet_check(Q) == []
             assert empty == (is_centrally_symmetric(Q) is not None)
 

@@ -13,7 +13,6 @@ from ehrkit.linalg import (
     det,
     dot,
     gcd_maximal_minors,
-    integer_point_in_translated_span,
     kernel_basis,
     lcm_denominators,
     primitive_vector,
@@ -163,10 +162,13 @@ class TestAffineLatticeNonempty:
                 continue
             W = IntMatrix.from_columns(cols)
             v = tuple(Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3))) for _ in range(d))
-            z = integer_point_in_translated_span(W, v)
-            assert (z is not None) == affine_lattice_nonempty(W, v)
-            if z is not None:
-                # z - v must lie in the rational span of the columns
+            if affine_lattice_nonempty(W, v):
+                # U^{-1} (0, y[r:]) with y = U v is an integer point of
+                # v + span: it differs from v by U^{-1} (y[:r], 0)
+                dec = snf(W)
+                y = dec.U.apply(v)
+                r = dec.rank
+                z = dec.U_inverse.apply([0] * r + [int(x) for x in y[r:]])
                 diff = [z[i] - v[i] for i in range(d)]
                 rank_before = rational_rank([W.column(j) for j in range(W.cols)])
                 rank_after = rational_rank([W.column(j) for j in range(W.cols)] + [diff])

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -7,12 +8,14 @@ from ehrkit.qpoly import (
     Polynomial,
     QuasiPolynomial,
     evaluate,
+    gcd_violation,
     has_gcd_property,
     inflate_period,
     is_symmetric,
     minimal_period,
     polynomial_to_strings,
     quasi_to_json_dict,
+    symmetry_violation,
 )
 
 
@@ -32,6 +35,29 @@ def gcd_property_period_stability(q, k):
     """gcd-property verdict after inflating the period by k; must agree
     with ``has_gcd_property(q)``."""
     return has_gcd_property(inflate_period(q, k))
+
+
+def brute_symmetry_violation(q):
+    """The first k in 0..rho with f_k != f_{rho-k}, as residues mod rho:
+    the scan oracle for ``symmetry_violation``."""
+    rho = q.period
+    k = next((k for k in range(rho + 1) if q.constituent(k) != q.constituent(rho - k)), None)
+    return None if k is None else (k % rho, (rho - k) % rho)
+
+
+def brute_gcd_violation(q):
+    """The lexicographically first k < l with gcd(rho, k) = gcd(rho, l)
+    and f_k != f_l, by an O(rho^2) scan: the oracle for ``gcd_violation``."""
+    rho = q.period
+    return next(
+        (
+            (k, l)
+            for k in range(1, rho + 1)
+            for l in range(k + 1, rho + 1)
+            if math.gcd(rho, k) == math.gcd(rho, l) and q.constituent(k) != q.constituent(l)
+        ),
+        None,
+    )
 
 
 def brute_interpolate(samples):
@@ -203,6 +229,32 @@ class TestProperties:
         for k in (1, 2, 3):
             assert gcd_property_period_stability(good, k) == has_gcd_property(good)
             assert gcd_property_period_stability(bad, k) == has_gcd_property(bad)
+
+    def test_violations_match_scan_oracles(self):
+        # constituents drawn from a gcd-class or mirror-symmetric pattern,
+        # then a few residues overwritten, so both verdicts occur
+        rng = random.Random(23)
+        pool = [poly(i) for i in range(4)]
+        verdicts = set()
+        for _ in range(600):
+            rho = rng.randint(1, 30)
+            if rng.random() < 0.5:
+                by_gcd = {g: rng.choice(pool) for g in range(1, rho + 1)}
+                cons = [by_gcd[math.gcd(rho, k)] for k in range(1, rho + 1)]
+            else:
+                cons = [rng.choice(pool) for _ in range(rho)]
+                for k in range(1, rho // 2 + 1):
+                    cons[rho - k - 1] = cons[k - 1]
+            for _ in range(rng.choice((0, 0, 1, 2))):
+                cons[rng.randrange(rho)] = rng.choice(pool)
+            q = QuasiPolynomial(rho, cons)
+            sym, gcd = symmetry_violation(q), gcd_violation(q)
+            assert sym == brute_symmetry_violation(q), q
+            assert gcd == brute_gcd_violation(q), q
+            assert is_symmetric(q) == (sym is None)
+            assert has_gcd_property(q) == (gcd is None)
+            verdicts.add((sym is None, gcd is None))
+        assert verdicts == {(True, True), (True, False), (False, False)}
 
     def test_property_invariance_under_reduction(self):
         q = QuasiPolynomial(4, (poly(1), poly(2), poly(1), poly(2)))
